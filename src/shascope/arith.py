@@ -205,6 +205,32 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """Tonelli-Shanks square root mod odd prime p; a must be a QR or 0."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t, 0
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def divisors(f: Factorization) -> list[int]:
     """All positive divisors of |value|, ascending."""
     divs = [1]

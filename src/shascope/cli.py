@@ -142,8 +142,8 @@ def _run(args) -> None:
 
     elif args.command == "bad-primes":
         model = _short(_parse_curve(args.curve))
-        reports = curves.bad_primes(model, effort=args.effort)
         minimized, fac = curves.delta_prime_factorization(model, effort=args.effort)
+        reports = [curves.reduction_report(minimized, p) for p in fac.primes()]
         _emit(
             {
                 "minimized": [minimized.A, minimized.B],
@@ -190,9 +190,8 @@ def _run(args) -> None:
         _emit(out)
 
     elif args.command == "torsion":
-        model = _parse_curve(args.curve)
-        t = torsionq.rational_torsion(model if isinstance(model, curves.ShortModel) else _short(model), effort=args.effort)
-        _emit(t)
+        model = _short(_parse_curve(args.curve))
+        _emit(torsionq.rational_torsion(model, effort=args.effort))
 
     elif args.command == "cor-traces":
         model = _short(_parse_curve(args.curve))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Factorization, factorize, legendre, padic_val
+from .arith import Factorization, factorize, legendre, padic_val, sqrt_mod
 from .errors import DomainError, SingularCubicError
 
 
@@ -200,42 +200,14 @@ def _quadratic_roots(a: int, b: int, c: int, p: int) -> list[int]:
     ls = legendre(disc, p)
     if ls == -1:
         return []
-    r = _sqrt_mod(disc, p)
+    r = sqrt_mod(disc, p)
     inv2a = pow(2 * a, -1, p)
     return sorted({(-b + r) * inv2a % p, (-b - r) * inv2a % p})
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks square root mod odd prime p; a must be a QR or 0."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # general case
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def bad_primes(model: ShortModel, *, effort: int = 50) -> list[ReductionReport]:
     """One report per prime dividing delta' of the minimized model, ascending."""
-    minimized, _ = minimize_short(model)
-    fac = factorize(minimized.delta_prime(), effort=effort)
+    minimized, fac = delta_prime_factorization(model, effort=effort)
     return [reduction_report(minimized, p) for p in fac.primes()]
 
 

@@ -20,7 +20,7 @@ nonzero n-torsion (odd n) resp. n-torsion with 2-torsion removed (even n).
 from __future__ import annotations
 
 from .errors import BudgetError, DomainError, InvariantViolation
-from .poly import ExactPoly, Ring, ZAB
+from .poly import ZAB, ExactPoly, MPolyRing, Ring
 
 DEFAULT_DEGREE_CEILING = 700
 
@@ -113,8 +113,6 @@ class DivisionTable:
 
 def symbolic_table(*, extra_vars: tuple[str, ...] = (), degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> DivisionTable:
     """DivisionTable over Z[A,B] (plus optional extra variables)."""
-    from .poly import MPolyRing
-
     ring = ZAB if not extra_vars else MPolyRing(("A", "B") + extra_vars)
     return DivisionTable(ring, ring.var("A"), ring.var("B"), degree_ceiling=degree_ceiling)
 

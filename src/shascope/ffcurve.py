@@ -6,9 +6,9 @@ counting is the naive Legendre sum with a configurable ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
-from .arith import factorize, legendre
+from .arith import factorize, is_prime, legendre, padic_val, sqrt_mod
 from .curves import ShortModel, p_minimize, reduction_report
 from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation
 
@@ -112,15 +112,9 @@ def enumerate_points(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) ->
         if ls == 0:
             pts.append((x, 0))
         elif ls == 1:
-            r = _sqrt_mod_p(rhs, p)
+            r = sqrt_mod(rhs, p)
             pts.extend(sorted([(x, r), (x, p - r)]))
     return pts
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    from .curves import _sqrt_mod
-
-    return _sqrt_mod(a, p)
 
 
 def point_order(curve: FpCurve, P, *, group_order_hint: int | None = None) -> int:
@@ -158,10 +152,6 @@ def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> 
         o = point_order(curve, P, group_order_hint=N)
         if o > n2:
             n2, gen2 = o, P
-        if n2 * n2 >= N:
-            # the exponent can't exceed N/n1 and n1 <= n2; once n2^2 >= N and
-            # n2 achieves a maximal order we could stop, but orders are cheap
-            pass
     n1 = N // n2
     if n1 * n2 != N:
         raise InvariantViolation("invariant factors do not multiply to the order")
@@ -200,33 +190,34 @@ class EllPrimary:
 
 
 def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILING) -> EllPrimary:
-    """Structure of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell."""
-    from .arith import is_prime, padic_val
+    """Structure of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell.
 
+    With v = v_ell(#E), a point lies in the ell-Sylow subgroup iff at most v
+    multiplications by ell take it to O, and the count is its exponent. The
+    subgroup is Z/ell^e1 x Z/ell^e2 with e2 the largest exponent and e1 = v - e2.
+    """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    st = group_structure(curve, ceiling=ceiling)
-    e1 = padic_val(st.n1, ell) if st.n1 > 1 and st.n1 % ell == 0 else 0
-    e2 = padic_val(st.n2, ell) if st.n2 % ell == 0 else 0
+    pts = enumerate_points(curve, ceiling=ceiling)
+    v = padic_val(len(pts), ell)
+    by_order: dict[int, list] = {}  # filled in enumeration order, so sorted
+    e2 = 0
+    for P in pts[1:]:
+        R, k = P, 0
+        while R is not INFINITY and k < v:
+            R = scalar_mul(curve, ell, R)
+            k += 1
+        if R is INFINITY:
+            by_order.setdefault(ell**k, []).append(P)
+            e2 = max(e2, k)
+    e1 = v - e2
+    size = ell**v
+    if 1 + sum(map(len, by_order.values())) != size or e1 > e2:
+        raise InvariantViolation(f"ell-power points do not form a group of order {ell}^{v} with e1 <= e2")
     cyclic = e1 == 0
     if curve.p % ell != 1 and not cyclic:
         raise InvariantViolation(f"ell-component not cyclic despite p != 1 mod {ell}")
-    size = ell ** (e1 + e2)
-    by_order: dict[int, list] = {}
-    if size > 1:
-        for P in enumerate_points(curve, ceiling=ceiling)[1:]:
-            o = point_order(curve, P, group_order_hint=st.order)
-            if o > 1 and size % o == 0 and _is_prime_power(o, ell):
-                by_order.setdefault(o, []).append(P)
-        for o in by_order:
-            by_order[o].sort()
     return EllPrimary(ell, size, e1, e2, cyclic, by_order)
-
-
-def _is_prime_power(n: int, q: int) -> bool:
-    while n % q == 0:
-        n //= q
-    return n == 1
 
 
 def is_supersingular(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> bool:

@@ -117,8 +117,8 @@ def borel_excluded(reports: list[ReductionReport], p0: int) -> tuple[bool, int |
 def serre_bound(p: int) -> int:
     """floor((sqrt(p) + 1)^8), computed exactly in Z[sqrt(p)].
 
-    (sqrt(p)+1)^8 = a + b*sqrt(p) with a, b integers; the floor is
-    a + isqrt(b^2 * p) unless p is a perfect square (then exact).
+    (sqrt(p)+1)^8 = a + b*sqrt(p) with a, b non-negative integers, so the
+    floor is a + isqrt(b^2 * p) (exact when p is a perfect square).
     """
     if p < 2:
         raise DomainError("p >= 2 required")
@@ -126,10 +126,7 @@ def serre_bound(p: int) -> int:
     a, b = 1, 1  # a + b sqrt(p)
     for _ in range(3):
         a, b = a * a + b * b * p, 2 * a * b
-    s = isqrt(b * b * p)
-    if s * s == b * b * p:
-        return a + s
-    return a + s
+    return a + isqrt(b * b * p)
 
 
 def semistable_rule(reports: list[ReductionReport], ell: int) -> bool:
@@ -271,7 +268,7 @@ def theorem5_report(
         model = to_short(model)
     minimized, _ = minimize_short(model)
     reports = bad_primes(minimized)
-    dp_primes = set(factorize(minimized.delta_prime()).primes())
+    dp_primes = {r.p for r in reports}
 
     # {2,3,5,7,13} and the primes of delta' are kept as candidates even when a
     # chain nominally certifies them: the local analysis assumes ell coprime to

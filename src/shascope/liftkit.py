@@ -20,7 +20,7 @@ from .arith import is_prime, padic_val, primes_below
 from .curves import ShortModel
 from .errors import BudgetError, DomainError
 from .ffcurve import ell_primary, group_order, point_order, reduce_curve
-from .poly import QQ, ExactPoly
+from .poly import QQ, ZZ, ExactPoly
 
 MAX_HENSEL_DEPTH = 40
 
@@ -60,20 +60,8 @@ def _hensel_certificate(cubic: ExactPoly, p: int, target_x: int) -> HenselCertif
     """Strong-Hensel certificate for a p-adic root of cubic congruent to
     target_x mod p, found by digit-by-digit refinement."""
 
-    def h(x: int) -> int:
-        v = 0
-        for c in reversed(cubic.coeffs):
-            v = v * x + int(c)
-        return v
-
-    dh = cubic.derivative()
-
-    def hd(x: int) -> int:
-        v = 0
-        for c in reversed(dh.coeffs):
-            v = v * x + int(c)
-        return v
-
+    hz = cubic.map_coeffs(ZZ, int)  # the lift cubic has integer coefficients
+    h, hd = hz.evaluate, hz.derivative().evaluate
     simple = hd(target_x) % p != 0 and h(target_x) % p == 0
     frontier = [target_x]
     for depth in range(1, MAX_HENSEL_DEPTH + 1):
@@ -128,9 +116,8 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
         return LiftPlan(p, ell, 0, m, None, None, None, None, None, (a, b), None)
 
     prim = ell_primary(curve, ell)
-    target_order = ell**n
-    gen = min(pt for pt in prim.points_by_order[target_order])
-    assert point_order(curve, gen, group_order_hint=N) == target_order
+    gen = min(prim.points_by_order[ell**n])
+    assert point_order(curve, gen, group_order_hint=N) == ell**n
 
     x_bar, y_bar = gen
     y_lift = y_bar % p

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .arith import factorize, padic_val, primes_below, rat_val
+from .arith import factorize, padic_val, rat_val
 from .curves import ShortModel
 from .divpoly import DivisionTable, quotient_g, symbolic_table, build_phi
 from .errors import DomainError, InvariantViolation, NotInvertibleError
-from .poly import QQ, ZZ, ExactPoly, Fp, MPolyRing, ext_gcd_qq, poly_gcd_qq
+from .poly import QQ, ZZ, ExactPoly, Fp, MPolyRing, ext_gcd_qq, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -32,30 +33,15 @@ def _is_squarefree_qq(g: ExactPoly) -> bool:
     gcd(g, g') = 1 mod q (with lc(g) a q-unit) implies gcd = 1 over Q; if no
     small prime certifies it, fall back to the exact gcd.
     """
-    dg = g.derivative()
-    # clear denominators to get integer coefficients
-    den = 1
-    for c in g.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in g.coeffs))  # clears denominators
     gi = [int(c * den) for c in g.coeffs]
     for q in (1000003, 1000033, 1000037, 1000039, 1000081):
         if gi[-1] % q == 0:
             continue
-        fq = Fp(q)
-        gq = ExactPoly.from_ints(fq, gi)
-        dq = gq.derivative()
-        a, b = gq, dq
-        while not b.is_zero():
-            a, b = b, a.mod(b)
-        if a.degree() == 0:
+        gq = ExactPoly.from_ints(Fp(q), gi)
+        if poly_gcd(gq, gq.derivative()).degree() == 0:
             return True
-    return poly_gcd_qq(g, dg).degree() == 0
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
+    return poly_gcd(g, g.derivative()).degree() == 0
 
 
 class QuotRing:

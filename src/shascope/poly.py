@@ -423,15 +423,13 @@ class ExactPoly:
         return "Poly(" + " + ".join(parts) + f" over {self.ring.name})"
 
 
-def poly_gcd_qq(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic gcd in QQ[X]."""
-    if a.ring is not QQ or b.ring is not QQ:
-        raise DomainError("poly_gcd_qq requires QQ polynomials")
+def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """Monic gcd in QQ[X] or F_p[X] (the zero polynomial when a = b = 0)."""
+    if a.ring != b.ring or not (a.ring is QQ or isinstance(a.ring, Fp)):
+        raise DomainError("poly_gcd requires two polynomials over QQ or over one F_p")
     while not b.is_zero():
         a, b = b, a.mod(b)
-    if a.is_zero():
-        return a
-    return a.monic()
+    return a if a.is_zero() else a.monic()
 
 
 def ext_gcd_qq(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPoly]:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .arith import divisors, factorize
+from .arith import Factorization, divisors, factorize
 from .curves import ShortModel, minimize_short
 from .errors import DomainError, InvariantViolation
 from .ffcurve import (
@@ -61,23 +61,33 @@ def _torsion_order(A: int, B: int, P) -> int | None:
     return None
 
 
-def _integer_roots_monic_cubic(A: int, c0: int) -> list[int]:
-    """Integer roots of X^3 + A*X + c0."""
-    if c0 == 0:
-        roots = [0]
-        if A < 0:
-            r = isqrt(-A)
-            if r * r == -A:
-                roots.extend([r, -r])
-        elif A == 0:
-            pass
-        return sorted(set(roots))
+def _integer_roots_monic_cubic(A: int, c: int) -> list[int]:
+    """Integer roots of f = X^3 + A*X + c by exact bisection in [-R, R],
+    R = 1 + max(|A|, |c|). For A < 0 the turning points +-sqrt(-A/3) lie in
+    [s, s+1), s = isqrt(-A//3), so f is monotone on the integers of each of
+    [-R, -s-1], [-s, s] and [s+1, R]; for A >= 0 f is increasing."""
+
+    def f(x: int) -> int:
+        return x**3 + A * x + c
+
+    R = 1 + max(abs(A), abs(c))
+    if A < 0:
+        s = isqrt(-A // 3)
+        pieces = [(-R, -s - 1), (-s, s), (s + 1, R)]
+    else:
+        pieces = [(-R, R)]
     roots = []
-    for d in divisors(factorize(c0)):
-        for x in (d, -d):
-            if x**3 + A * x + c0 == 0:
-                roots.append(x)
-    return sorted(set(roots))
+    for lo, hi in pieces:
+        sign = 1 if f(hi) >= f(lo) else -1
+        while lo < hi:  # least x in [lo, hi] with sign * f(x) >= 0
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
 def rational_torsion(model: ShortModel, *, effort: int = 50) -> TorsionGroup:
@@ -131,8 +141,6 @@ def rational_torsion(model: ShortModel, *, effort: int = 50) -> TorsionGroup:
 
 def _half_square_divisor(fac):
     """Factorization of the largest y with y^2 | value (exponents halved)."""
-    from .arith import Factorization
-
     return Factorization(1, tuple((p, e // 2) for p, e in fac.factors if e >= 2))
 
 
@@ -140,8 +148,6 @@ def torsion_injection_check(model: ShortModel, p: int, m: int, *, effort: int = 
     """Injectivity (with order preservation) of E[m](Q) -> E~(F_p) for good p >= 5."""
     if p < 5:
         raise DomainError("requires p >= 5")
-    from math import gcd
-
     if gcd(m, p) != 1:
         raise DomainError("m must be coprime to p")
     minimized, _ = minimize_short(model)

@@ -13,6 +13,7 @@ from shascope.arith import (
     padic_val,
     primes_below,
     rat_val,
+    sqrt_mod,
 )
 from shascope.errors import DomainError
 from fractions import Fraction
@@ -87,6 +88,17 @@ def test_legendre_vs_sympy():
             continue
         for a in range(0, 40):
             assert legendre(a, p) == sympy.legendre_symbol(a, p)
+
+
+def test_sqrt_mod_every_residue():
+    # 17, 41 and 97 are 1 mod 8, so Tonelli-Shanks runs its loop more than once
+    for p in (7, 13, 17, 41, 97):
+        for a in range(p):
+            if legendre(a, p) == -1:
+                continue
+            r = sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a, (a, p)
+            assert sqrt_mod(a - 3 * p, p) == r  # the input is reduced mod p first
 
 
 def test_divisors():

@@ -46,6 +46,20 @@ def test_ffgroup_fixture(capsys):
     assert doc["order"] == 10
     assert doc["cyclic"] is True
     assert doc["points_by_order"]["5"] == [[1, 3], [1, 4], [5, 3], [5, 4]]
+    assert out == (
+        '{"A":4,"B":4,"cyclic":true,"ell":5,"ell_part_order":5,"order":10,"p":7,'
+        '"points_by_order":{"5":[[1,3],[1,4],[5,3],[5,4]]},"structure":[1,10]}\n'
+    )
+    code, out, _ = run_cli(capsys, "lift", "--p", "7", "--ell", "5", "--curve", EX3_MIN)
+    assert code == 0
+    # the generator (1, 3) is a double root of the lift cubic mod 7, so the
+    # certificate needs a second digit
+    assert out == (
+        '{"bezout":[3,-1],"cubic":[{"den":1,"num":-4724275771},{"den":1,"num":-5316979},'
+        '{"den":1,"num":0},{"den":1,"num":1}],"ell":5,"generator":[1,3],'
+        '"hensel":{"depth":2,"simple_mod_p":false,"val_dh":1,"val_h":3,"x_cert":36},'
+        '"m":2,"n":1,"p":7,"target_x":1,"y_lift":3,"y_squared":{"den":1,"num":9}}\n'
+    )
 
 
 def test_divpoly_symbolic_unit(capsys):

@@ -107,3 +107,30 @@ def test_supersingular_known_case():
     # y^2 = x^3 + 1 is supersingular at p = 2 mod 3
     assert is_supersingular(FpCurve(11, 0, 1))
     assert not is_supersingular(FpCurve(13, 0, 1))
+
+
+def test_ell_primary_matches_point_order_oracle():
+    non_cyclic = 0
+    for A, B in ((1, 1), (3, 2), (0, 1), (-1, 0)):
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            if (4 * A**3 + 27 * B**2) % p == 0:
+                continue
+            c = FpCurve(p, A % p, B % p)
+            st = group_structure(c)
+            for ell in (2, 3, 5, 7):
+                prim = ell_primary(c, ell)
+                want = {}
+                for P in enumerate_points(c)[1:]:
+                    o = point_order(c, P, group_order_hint=st.order)
+                    if o > 1 and ell ** (o.bit_length()) % o == 0:  # o is a power of ell
+                        want.setdefault(o, []).append(P)
+                assert prim.points_by_order == want, (A, B, p, ell)
+                e1 = e2 = 0
+                while st.n1 % ell ** (e1 + 1) == 0:
+                    e1 += 1
+                while st.n2 % ell ** (e2 + 1) == 0:
+                    e2 += 1
+                assert (prim.e1, prim.e2) == (e1, e2), (A, B, p, ell)
+                assert prim.order == ell ** (e1 + e2) and prim.cyclic == (e1 == 0)
+                non_cyclic += not prim.cyclic
+    assert non_cyclic > 0  # the sweep reaches Z/ell x Z/ell^k parts

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from shascope.errors import InvariantViolation
+from shascope.errors import DomainError, InvariantViolation
 from shascope.poly import (
     QQ,
     ZAB,
@@ -11,7 +11,7 @@ from shascope.poly import (
     Fp,
     MPoly,
     ext_gcd_qq,
-    poly_gcd_qq,
+    poly_gcd,
 )
 
 
@@ -66,8 +66,24 @@ def test_poly_gcd_qq():
     # (x-1)^2 (x+2) and (x-1)(x+3)
     a = ExactPoly.from_ints(QQ, [2, -3, 0, 1])
     b = ExactPoly.from_ints(QQ, [-3, 2, 1])
-    g = poly_gcd_qq(a, b)
+    g = poly_gcd(a, b)
     assert g.coeffs == (Fraction(-1), Fraction(1))  # monic x - 1
+
+
+def test_poly_gcd_fp():
+    F = Fp(101)
+    # (2x + 3)(x^2 + 1)(x - 5) and (2x + 3)(x - 5)^2 (x + 7) over F_101
+    common = ExactPoly.from_ints(F, [3, 2]) * ExactPoly.from_ints(F, [-5, 1])
+    a = common * ExactPoly.from_ints(F, [1, 0, 1])
+    b = common * ExactPoly.from_ints(F, [-5, 1]) * ExactPoly.from_ints(F, [7, 1])
+    g = poly_gcd(a, b)
+    assert g == common.monic() and g.lc() == 1
+    assert poly_gcd(a, ExactPoly.from_ints(F, [0])) == a.monic()
+    assert poly_gcd(ExactPoly.from_ints(F, [1, 1]), ExactPoly.from_ints(F, [2, 1])).coeffs == (1,)
+    with pytest.raises(DomainError):
+        poly_gcd(P(1, 1), P(2, 1))  # ZZ
+    with pytest.raises(DomainError):
+        poly_gcd(a, ExactPoly.from_ints(Fp(103), [1, 1]))  # two different fields
 
 
 def test_ext_gcd_qq_bezout():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from shascope.ffcurve import INFINITY
 from shascope.torsionq import (
     TorsionGroup,
     _add_q,
+    _integer_roots_monic_cubic,
     _torsion_order,
     rational_torsion,
     torsion_injection_check,
@@ -93,3 +95,22 @@ def test_exact_group_law_addition():
     P = (Fraction(2), Fraction(3))
     assert _add_q(0, 1, P, P) == (Fraction(0), Fraction(1))
     assert _add_q(0, 1, P, INFINITY) == P
+
+
+def test_integer_roots_of_split_cubics():
+    # (X - a)(X - b)(X + a + b) = X^3 - (a^2 + ab + b^2) X + ab(a + b)
+    rng = random.Random(7)
+    pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    pairs += [(rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(300)]
+    for a, b in pairs:
+        A, c = -(a * a + a * b + b * b), a * b * (a + b)
+        assert _integer_roots_monic_cubic(A, c) == sorted({a, b, -a - b}), (a, b)
+
+
+def test_integer_roots_against_a_sweep():
+    # every root lies in [-R, R], R = 1 + max(|A|, |c|); sweep that range
+    for A in range(-30, 31):
+        for c in range(-30, 31):
+            R = 1 + max(abs(A), abs(c))
+            want = [x for x in range(-R, R + 1) if x**3 + A * x + c == 0]
+            assert _integer_roots_monic_cubic(A, c) == want, (A, c)
