@@ -133,6 +133,29 @@ def point_order(curve: FpCurve, P, *, group_order_hint: int | None = None) -> in
     return n
 
 
+def _sylow_classes(curve: FpCurve, pts: list, ell: int, v: int) -> tuple[dict, int, int]:
+    """(points_by_order, e1, e2) for the ell-Sylow subgroup, v = v_ell(#E).
+
+    A point lies in the ell-Sylow subgroup iff at most v multiplications by ell
+    take it to O, and the count is its exponent. The subgroup is
+    Z/ell^e1 x Z/ell^e2 with e2 the largest exponent and e1 = v - e2.
+    """
+    by_order: dict[int, list] = {}  # filled in enumeration order, so sorted
+    e2 = 0
+    for P in pts[1:]:
+        R, k = P, 0
+        while R is not INFINITY and k < v:
+            R = scalar_mul(curve, ell, R)
+            k += 1
+        if R is INFINITY:
+            by_order.setdefault(ell**k, []).append(P)
+            e2 = max(e2, k)
+    e1 = v - e2
+    if 1 + sum(map(len, by_order.values())) != ell**v or e1 > e2:
+        raise InvariantViolation(f"ell-power points do not form a group of order {ell}^{v} with e1 <= e2")
+    return by_order, e1, e2
+
+
 @dataclass(frozen=True)
 class GroupStructure:
     order: int
@@ -142,21 +165,35 @@ class GroupStructure:
 
 
 def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupStructure:
-    """Invariant factors Z/n1 x Z/n2 with generators; n1 | gcd(n2, p-1)."""
+    """Invariant factors Z/n1 x Z/n2 with generators; n1 | gcd(n2, p-1).
+
+    #E is factored once. The q-part is non-cyclic only if E[q] lies in E(F_p),
+    which the Weil pairing allows only when q | p - 1, so the q-Sylow pass
+    runs just for primes q with q^2 | #E and q | p - 1.
+    """
     pts = enumerate_points(curve, ceiling=ceiling)
     N = len(pts)
-    # exponent of the group = max point order (group is Z/n1 x Z/n2)
-    n2 = 1
-    gen2 = INFINITY
     for P in pts[1:]:
-        o = point_order(curve, P, group_order_hint=N)
-        if o > n2:
-            n2, gen2 = o, P
-    n1 = N // n2
+        if scalar_mul(curve, N, P) is not INFINITY:
+            raise InvariantViolation("point order does not divide group order")
+    fac = factorize(N)
+    n1 = 1
+    for q, v in fac:
+        if v > 1 and (curve.p - 1) % q == 0:
+            n1 *= q ** _sylow_classes(curve, pts, q, v)[1]
+    n2 = N // n1
     if n1 * n2 != N:
         raise InvariantViolation("invariant factors do not multiply to the order")
     if n1 > 1 and (n2 % n1 != 0 or (curve.p - 1) % n1 != 0):
         raise InvariantViolation("Weil constraint n1 | gcd(n2, p-1) violated")
+    # first generator: the first point of exact order n2, as a max-order scan finds
+    for gen2 in pts[1:]:
+        if scalar_mul(curve, n2, gen2) is INFINITY and all(
+            scalar_mul(curve, n2 // q, gen2) is not INFINITY for q in fac.primes()
+        ):
+            break
+    else:
+        raise InvariantViolation(f"no point of order {n2}")
     if n1 == 1:
         return GroupStructure(N, 1, n2, (gen2,))
     # second generator: smallest point whose class generates G/<gen2>
@@ -190,30 +227,13 @@ class EllPrimary:
 
 
 def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILING) -> EllPrimary:
-    """Structure of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell.
-
-    With v = v_ell(#E), a point lies in the ell-Sylow subgroup iff at most v
-    multiplications by ell take it to O, and the count is its exponent. The
-    subgroup is Z/ell^e1 x Z/ell^e2 with e2 the largest exponent and e1 = v - e2.
-    """
+    """Structure of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell."""
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
     pts = enumerate_points(curve, ceiling=ceiling)
     v = padic_val(len(pts), ell)
-    by_order: dict[int, list] = {}  # filled in enumeration order, so sorted
-    e2 = 0
-    for P in pts[1:]:
-        R, k = P, 0
-        while R is not INFINITY and k < v:
-            R = scalar_mul(curve, ell, R)
-            k += 1
-        if R is INFINITY:
-            by_order.setdefault(ell**k, []).append(P)
-            e2 = max(e2, k)
-    e1 = v - e2
+    by_order, e1, e2 = _sylow_classes(curve, pts, ell, v)
     size = ell**v
-    if 1 + sum(map(len, by_order.values())) != size or e1 > e2:
-        raise InvariantViolation(f"ell-power points do not form a group of order {ell}^{v} with e1 <= e2")
     cyclic = e1 == 0
     if curve.p % ell != 1 and not cyclic:
         raise InvariantViolation(f"ell-component not cyclic despite p != 1 mod {ell}")

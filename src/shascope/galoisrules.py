@@ -16,8 +16,6 @@ from .arith import factorize, is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
 from .errors import DomainError
 
-SMALL_EXCEPTIONAL = (2, 3, 5, 7, 13)
-
 # odd prime orders that can divide a rational point per the rational torsion
 # classification; used only by the optional chain, see image_verdict
 MAZUR_PRIME_ORDERS = (2, 3, 5, 7)
@@ -29,6 +27,9 @@ def small_exceptional(ell: int) -> bool:
     if not is_prime(ell):
         raise DomainError("ell must be prime")
     return 12 % (ell - 1) == 0
+
+
+SMALL_EXCEPTIONAL = tuple(filter(small_exceptional, primes_below(14)))  # (ell-1) | 12 forces ell <= 13
 
 
 def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:

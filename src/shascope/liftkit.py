@@ -18,7 +18,7 @@ from math import gcd
 
 from .arith import is_prime, padic_val, primes_below
 from .curves import ShortModel
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, InvariantViolation
 from .ffcurve import ell_primary, group_order, point_order, reduce_curve
 from .poly import QQ, ZZ, ExactPoly
 
@@ -95,9 +95,10 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     """Lifting plan for the ell-part of the reduction of `model` at p.
 
     Requires good reduction and p coprime to delta'*ell*(ell-1)*(ell+1).
-    Picks the lexicographically smallest (x, y) generator of the (cyclic)
-    ell-primary part, lifts its y verbatim, and certifies a p-adic root of
-    X^3 + AX + B - y^2 above the generator's x.
+    Picks the lexicographically smallest (x, y) generator of the ell-primary
+    part, lifts its y verbatim, and certifies a p-adic root of
+    X^3 + AX + B - y^2 above the generator's x. A non-cyclic ell-primary part
+    (possible only when p = 1 mod ell) has no generator: DomainError.
     """
     if not is_prime(p) or not is_prime(ell):
         raise DomainError("p and ell must be prime")
@@ -110,14 +111,21 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     # Bezout pair with a in [1, ell)
     a = pow(m % ell, -1, ell)
     b = (1 - m * a) // ell
-    assert m * a + ell * b == 1
+    if m * a + ell * b != 1:
+        raise InvariantViolation(f"Bezout identity fails for m={m}, ell={ell}")
 
     if n == 0:
         return LiftPlan(p, ell, 0, m, None, None, None, None, None, (a, b), None)
 
     prim = ell_primary(curve, ell)
+    if not prim.cyclic:
+        raise DomainError(
+            f"{ell}-primary part Z/{ell**prim.e1} x Z/{ell**prim.e2} of E(F_{p}) "
+            "is not cyclic, so it has no generator to lift"
+        )
     gen = min(prim.points_by_order[ell**n])
-    assert point_order(curve, gen, group_order_hint=N) == ell**n
+    if point_order(curve, gen, group_order_hint=N) != ell**n:
+        raise InvariantViolation(f"generator {gen} does not have order {ell}^{n}")
 
     x_bar, y_bar = gen
     y_lift = y_bar % p

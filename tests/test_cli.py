@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,29 @@ def test_ffgroup_fixture(capsys):
         '"hensel":{"depth":2,"simple_mod_p":false,"val_dh":1,"val_h":3,"x_cert":36},'
         '"m":2,"n":1,"p":7,"target_x":1,"y_lift":3,"y_squared":{"den":1,"num":9}}\n'
     )
+
+
+def test_ffgroup_non_cyclic_fixture(capsys):
+    # bytes pinned from the implementation that computed every point's order
+    code, out, _ = run_cli(capsys, "ffgroup", "--p", "13", "--ell", "2", "--curve", "-1,0")
+    assert code == 0
+    assert out == (
+        '{"A":12,"B":0,"cyclic":false,"ell":2,"ell_part_order":8,"order":8,"p":13,'
+        '"points_by_order":{"2":[[0,0],[1,0],[12,0]],"4":[[5,4],[5,9],[8,6],[8,7]]},'
+        '"structure":[2,4]}\n'
+    )
+    code, out, _ = run_cli(capsys, "ffgroup", "--p", "10007", "--ell", "3", "--curve", "1,1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f5519dedb29faa7c7de883c00f8cf08de4de5d4ec9d2f2e72154aaff18ff4eb1"
+    )
+
+
+def test_lift_non_cyclic_exit_2(capsys):
+    code, out, err = run_cli(capsys, "lift", "--p", "13", "--ell", "2", "--curve", "-1,0")
+    assert code == 2
+    assert out == ""
+    assert "2-primary part Z/2 x Z/4 of E(F_13) is not cyclic" in err
 
 
 def test_divpoly_symbolic_unit(capsys):

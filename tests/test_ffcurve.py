@@ -1,5 +1,6 @@
 import pytest
 
+from shascope.arith import is_prime
 from shascope.curves import ShortModel
 from shascope.errors import BadReductionError, DomainError
 from shascope.ffcurve import (
@@ -134,3 +135,38 @@ def test_ell_primary_matches_point_order_oracle():
                 assert prim.order == ell ** (e1 + e2) and prim.cyclic == (e1 == 0)
                 non_cyclic += not prim.cyclic
     assert non_cyclic > 0  # the sweep reaches Z/ell x Z/ell^k parts
+
+
+def _oracle_structure(c):
+    """Brute force: the exponent n2 is the largest point order, the first
+    point reaching it generates, and the second generator is the first point
+    whose image in G/<gen2> has order n1 = N/n2 and whose order n1 divides."""
+    pts = enumerate_points(c)
+    N = len(pts)
+    orders = [point_order(c, P, group_order_hint=N) for P in pts]
+    n2 = max(orders)
+    gen2 = pts[orders.index(n2)]
+    n1 = N // n2
+    if n1 == 1:
+        return N, 1, n2, (gen2,)
+    sub = {scalar_mul(c, k, gen2) for k in range(n2)}
+    for P, o in zip(pts, orders):
+        if P in sub:
+            continue
+        j = next(j for j in range(2, N + 1) if scalar_mul(c, j, P) in sub)
+        if j == n1 and o % n1 == 0:
+            return N, n1, n2, (gen2, P)
+    raise AssertionError("oracle found no second generator")
+
+
+def test_group_structure_matches_brute_force_oracle():
+    non_cyclic = 0
+    for A, B in ((1, 1), (3, 2), (0, 1), (-1, 0), (-7, 6), (2, -5)):
+        for p in range(5, 200):
+            if not is_prime(p) or (4 * A**3 + 27 * B**2) % p == 0:
+                continue
+            c = FpCurve(p, A % p, B % p)
+            st = group_structure(c)
+            assert (st.order, st.n1, st.n2, st.generators) == _oracle_structure(c), (A, B, p)
+            non_cyclic += st.n1 > 1
+    assert non_cyclic > 0  # the sweep reaches Z/n1 x Z/n2 with n1 > 1
