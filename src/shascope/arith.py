@@ -2,16 +2,29 @@
 
 Integers are plain Python ints (arbitrary precision); rationals are
 fractions.Fraction (always reduced, positive denominator). Factorization
-is trial division to 10**6 followed by Brent's cycle variant of Pollard
-rho, with a configurable effort budget.
+removes every prime up to 10**6 by trial division, then splits what is left
+with Brent's cycle variant of Pollard rho under a configurable effort budget.
+
+Trial division works on blocks of _BLOCK consecutive integers. A block is
+sieved the first time a factorization reaches it, and its primes (an
+array('I')) and their product stay in a module-level table of
+input-independent constants. For each block whose lower end is at most
+sqrt(n), one gcd of n with the block's product finds every prime of the block
+that divides n; only when that gcd exceeds 1 are the block's primes walked,
+and the walk stops as soon as the gcd is used up (Bernstein, "How to find
+smooth parts of integers", 2004, batches the same way with product trees).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import BudgetError, DomainError
 
@@ -20,6 +33,8 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_BOUND = 10**6
+_BLOCK = 4096  # block 0 holds every prime up to isqrt(_TRIAL_BOUND)
+_TRIAL_BLOCKS: list[tuple[array, int]] = []  # block k: (primes in [k*_BLOCK, (k+1)*_BLOCK), their product)
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -75,7 +90,10 @@ def is_prime_certified(n: int) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class Factorization:
-    """unit * prod(p**e) == value; primes strictly increasing, each certified."""
+    """unit * prod(p**e) == value; primes strictly increasing, each passing
+    is_prime. That proves primality below ~3.3e24 (deterministic Miller-Rabin
+    bases); above it a factor is only a probable prime, and
+    is_prime_certified(p) reports which regime applied."""
 
     unit: int  # +1 or -1
     factors: tuple[tuple[int, int], ...]
@@ -140,15 +158,27 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
     n = abs(n)
     found: dict[int, int] = {}
 
-    d = 2
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    # after block k, n has no prime factor below (k+1)*_BLOCK, so once a block
+    # starts above sqrt(n) what is left is 1 or a prime
+    for k, lo in enumerate(range(0, _TRIAL_BOUND + 1, _BLOCK)):
+        if lo * lo > n:
+            break
+        if k == len(_TRIAL_BLOCKS):
+            _add_trial_blocks()
+        primes, product = _TRIAL_BLOCKS[k]
+        g = gcd(n, product)
+        if g > 1:
+            for d in primes:
+                if g % d == 0:
+                    g //= d
+                    while n % d == 0:
+                        found[d] = found.get(d, 0) + 1
+                        n //= d
+                    if g == 1:
+                        break
 
     stack = [n] if n > 1 else []
-    rng = random.Random(0xE11)
+    rng = None
     max_iters = effort * 100_000
     while stack:
         m = stack.pop()
@@ -162,6 +192,8 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
             stack.extend([r, r])
             continue
         f = None
+        if rng is None:
+            rng = random.Random(0xE11)
         for _ in range(8):
             f = _brent_rho(m, rng, max_iters)
             if f is not None and 1 < f < m:
@@ -239,13 +271,37 @@ def divisors(f: Factorization) -> list[int]:
     return sorted(divs)
 
 
+def _sieve(lo: int, hi: int, base: Iterable[int]) -> list[int]:
+    """Primes in [lo, hi) for odd lo >= 3, given every odd prime up to isqrt(hi - 1) in base, ascending."""
+    flags = bytearray([1]) * ((hi - lo + 1) // 2)  # flags[i] stands for lo + 2i
+    for p in base:
+        if p * p >= hi:
+            break
+        m = max(p * p, -(-lo // p) * p)
+        start = (m + (p if m % 2 == 0 else 0) - lo) // 2  # first odd multiple
+        flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return list(compress(range(lo, hi, 2), flags))
+
+
 def primes_below(bound: int) -> list[int]:
     """Primes < bound via a sieve."""
     if bound <= 2:
         return []
-    sieve = bytearray([1]) * bound
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(bound) if sieve[i]]
+    return [2] + _sieve(3, bound, primes_below(isqrt(bound - 1) + 1)[1:])
+
+
+def _add_trial_blocks() -> None:
+    """Append the blocks of the next stretch up to _TRIAL_BOUND, sieved in one pass.
+
+    Each pass doubles the sieved range: a pass per block would be mostly
+    per-prime slicing overhead, and a factorization that stops early builds
+    at most twice the blocks it reaches.
+    """
+    lo = len(_TRIAL_BLOCKS) * _BLOCK
+    hi = min(2 * lo or _BLOCK, _TRIAL_BOUND + 1)
+    primes = primes_below(hi) if lo == 0 else _sieve(lo + 1, hi, _TRIAL_BLOCKS[0][0][1:])
+    i = 0
+    for end in range(lo + _BLOCK, hi + _BLOCK, _BLOCK):
+        j = bisect_left(primes, end, i)
+        _TRIAL_BLOCKS.append((array("I", primes[i:j]), prod(primes[i:j])))
+        i = j

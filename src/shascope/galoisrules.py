@@ -92,26 +92,34 @@ def borel_excluded(reports: list[ReductionReport], p0: int) -> tuple[bool, int |
 
     Returns (excluded, the shared prime q or None, notes).
     """
-    notes: list[str] = []
+    return _borel_excluded(_phi_prime_sets(reports), p0)
+
+
+def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[list[int], list[str]]]:
+    """Per potentially good prime with supported Phi-order candidates, in report
+    order: the primes dividing every candidate (ascending) and the notes."""
+    out = []
     for r in reports:
         if r.potential != "potentiallyGood":
             continue
         try:
-            cands, c_notes = phi_order_candidates(r)
+            cands, notes = phi_order_candidates(r)
         except DomainError:
             continue
+        common = set.intersection(*(set(factorize(c).primes()) for c in cands))
+        out.append((sorted(common), notes))
+    return out
+
+
+def _borel_excluded(
+    phi_sets: list[tuple[list[int], list[str]]], p0: int
+) -> tuple[bool, int | None, list[str]]:
+    notes: list[str] = []
+    for common, c_notes in phi_sets:
         notes.extend(c_notes)
-        shared = None
-        common = None
-        for c in cands:
-            fac = set(factorize(c).primes())
-            common = fac if common is None else (common & fac)
-        for q in sorted(common or ()):
+        for q in common:
             if p0 % q != 0 and (p0 - 1) % q != 0:
-                shared = q
-                break
-        if shared is not None:
-            return True, shared, notes
+                return True, q, notes
     return False, None, notes
 
 
@@ -167,6 +175,27 @@ def image_verdict(
     """
     if not is_prime(ell):
         raise DomainError("ell must be prime")
+    return _image_verdict(reports, _curve_facts(reports), ell, use_mazur_chain, chains)
+
+
+def _curve_facts(reports: list[ReductionReport]) -> tuple[list, int, int]:
+    """The ell-independent inputs of the chains: the Phi-order prime sets, the
+    smallest prime of good reduction and its serre_bound."""
+    bad = {r.p for r in reports}
+    p = 2
+    while p in bad:
+        p = _next_prime(p)
+    return _phi_prime_sets(reports), p, serre_bound(p)
+
+
+def _image_verdict(
+    reports: list[ReductionReport],
+    facts: tuple[list, int, int],
+    ell: int,
+    use_mazur_chain: bool,
+    chains: tuple[str, ...],
+) -> Verdict:
+    phi_sets, p, sb = facts
     reasons: list[str] = []
 
     if "a" in chains and semistable_rule(reports, ell):
@@ -180,7 +209,7 @@ def image_verdict(
 
     if "b" in chains and ell >= 5 and tate_ok:
         for w in witnesses:
-            excluded, q, notes = borel_excluded(reports, w)
+            excluded, q, notes = _borel_excluded(phi_sets, w)
             reasons.extend(notes)
             if excluded:
                 return Verdict(
@@ -198,12 +227,6 @@ def image_verdict(
         reasons.append("Borel exclusion inconclusive at every potentially good prime")
 
     if "c" in chains and tate_ok:
-        # smallest prime of good reduction
-        bad = {r.p for r in reports}
-        p = 2
-        while p in bad:
-            p = _next_prime(p)
-        sb = serre_bound(p)
         if ell > sb and all(r.p != ell for r in reports):
             return Verdict(
                 ell,
@@ -278,8 +301,9 @@ def theorem5_report(
     exceptional = set(base)
     verdicts: list[Verdict] = []
     smallest_full: int | None = None
+    facts = _curve_facts(reports)
     for ell in primes_below(scan_bound):
-        v = image_verdict(reports, ell, use_mazur_chain=use_mazur_chain, chains=chains)
+        v = _image_verdict(reports, facts, ell, use_mazur_chain, chains)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from shascope.arith import (
     rat_val,
     sqrt_mod,
 )
-from shascope.errors import DomainError
+from shascope.errors import BudgetError, DomainError
 from fractions import Fraction
 
 
@@ -53,6 +54,41 @@ def test_factorize_random_vs_sympy():
         fac = factorize(n)
         assert dict(fac.factors) == sympy.factorint(n)
         assert fac.value == n
+
+
+def _assert_factorization(n, fac):
+    assert fac.value == n
+    assert fac.unit == (1 if n > 0 else -1)
+    assert dict(fac.factors) == sympy.factorint(abs(n)), n
+    assert all(is_prime(p) for p in fac.primes()), n
+
+
+def test_factorize_trial_stage_vs_sympy():
+    # Trial division takes one gcd per 4096-wide block of the primes up to
+    # 10**6. With effort=0 rho cannot split anything, so a case with at most
+    # one prime factor above 10**6 (or the square of one) factors only if the
+    # trial stage removed every other prime.
+    edges = [
+        p
+        for lo in (4096, 8192, 4096 * 37, 4096 * 122, 4096 * 244)  # 4096 * 244 = 999424
+        for p in sympy.primerange(lo - 40, lo + 40)
+    ]
+    big = [1000003, 1000033, 1000037, 1000039, 2**61 - 1]
+    trial_only = [1, -1, 2, -2, -12, 999983, 999983**2, 999983 * 1000003, -999983 * 1000003, 1000003**2]
+    trial_only += big + [2 * 3 * 999983 * q for q in big]
+    trial_only += [a * b for a in edges for b in edges]
+    rng = random.Random(5)
+    for _ in range(200):
+        n = math.prod(rng.choice(edges) ** rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        trial_only.append(n * rng.choice([1, -1, rng.choice(big), rng.choice(big) ** 2]))
+    for n in trial_only:
+        _assert_factorization(n, factorize(n, effort=0))
+    with pytest.raises(BudgetError, match="unfactored cofactor 1000036000099"):
+        factorize(999983 * 1000003 * 1000033, effort=0)
+    # two prime factors above 10**12 (and small ones): only rho splits them
+    for p, q in ((1000000012367, 3000000000793), (999999999989, 1000000000039)):
+        for n in (p * q, -4093 * 4099**2 * 999983 * p * q):
+            _assert_factorization(n, factorize(n))
 
 
 def test_factorize_sign_and_unit():

@@ -148,3 +148,15 @@ def test_effort_flag_accepted(capsys):
     code, out, _ = run_cli(capsys, "bad-primes", "--curve", "1,1", "--effort", "5")
     assert code == 0
     assert json.loads(out)["delta_prime_factors"] == {"31": 1}
+
+
+def test_factoring_budget_names_the_rho_cofactor(capsys):
+    # delta' = 761 * 2094413 * 14374475867: trial division removes 761 and
+    # hands rho the cofactor 2094413 * 14374475867, which effort 0 cannot split
+    code, out, err = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405", "--effort", "0")
+    assert code == 3
+    assert out == ""
+    assert "unfactored cofactor 30106089124031071" in err
+    code, out, _ = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405")
+    assert code == 0
+    assert json.loads(out)["delta_prime_factors"] == {"761": 1, "2094413": 1, "14374475867": 1}
