@@ -74,7 +74,8 @@ class DivisionTable:
             ).scale_int(4),
         }
 
-    def expected_degree(self, n: int) -> int:
+    @staticmethod
+    def expected_degree(n: int) -> int:
         return (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
 
     def f(self, n: int) -> ExactPoly:
@@ -85,16 +86,7 @@ class DivisionTable:
                 raise BudgetError(
                     f"f_{n} degree {self.expected_degree(n)} exceeds ceiling {self.degree_ceiling}"
                 )
-            m = n // 2
-            if n % 2 == 0:
-                t = self.f(m + 2) * self.f(m - 1) * self.f(m - 1) - self.f(m - 2) * self.f(
-                    m + 1
-                ) * self.f(m + 1)
-                val = (self.f(m) * t).exact_div_scalar(self.ring.from_int(2))
-            else:
-                a = self.f(m + 2) * self.f(m) * self.f(m) * self.f(m)
-                b = self.f(m + 1) * self.f(m + 1) * self.f(m + 1) * self.f(m - 1)
-                val = a * self._psi2 - b if m % 2 == 0 else a - b * self._psi2
+            val = self._step(n)
             expected = self.expected_degree(n)
             # in characteristic p the leading coefficient (= n) can vanish,
             # so the degree may drop; over characteristic 0 it is exact
@@ -110,16 +102,50 @@ class DivisionTable:
             self._memo[n] = val
         return self._memo[n]
 
+    def _step(self, n: int) -> ExactPoly:
+        """f_n for n >= 5 by the f_{2m} / f_{2m+1} recursion over self.f."""
+        m = n // 2
+        if n % 2 == 0:
+            t = self.f(m + 2) * self.f(m - 1) * self.f(m - 1) - self.f(m - 2) * self.f(
+                m + 1
+            ) * self.f(m + 1)
+            return self._reduce(self.f(m) * t).exact_div_scalar(self.ring.from_int(2))
+        a = self.f(m + 2) * self.f(m) * self.f(m) * self.f(m)
+        b = self.f(m + 1) * self.f(m + 1) * self.f(m + 1) * self.f(m - 1)
+        return self._reduce(a * self._psi2 - b if m % 2 == 0 else a - b * self._psi2)
+
+    def _reduce(self, val: ExactPoly) -> ExactPoly:
+        return val
+
+
+class ReducedTable(DivisionTable):
+    """f_n(X) mod a fixed monic modulus M, over ZZ or QQ, by the same recursion.
+
+    Reduction mod a monic M is a ring map, and it commutes with the exact
+    halving in f_{2m} because the remainder mod M is unique and linear. So
+    each value is f_n mod M. Only the O(log n) indices the recursion visits
+    are built, each of degree < deg M, so no degree ceiling applies.
+    """
+
+    def __init__(self, ring: Ring, A, B, modulus: ExactPoly):
+        self.modulus = modulus
+        super().__init__(ring, A, B)
+        self._psi2 = self._reduce(self._psi2)
+        self._memo = {k: self._reduce(v) for k, v in self._memo.items()}
+
+    def f(self, n: int) -> ExactPoly:
+        if n not in self._memo:
+            self._memo[n] = self._step(n)
+        return self._memo[n]
+
+    def _reduce(self, val: ExactPoly) -> ExactPoly:
+        return val.mod(self.modulus)
+
 
 def symbolic_table(*, extra_vars: tuple[str, ...] = (), degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> DivisionTable:
     """DivisionTable over Z[A,B] (plus optional extra variables)."""
     ring = ZAB if not extra_vars else MPolyRing(("A", "B") + extra_vars)
     return DivisionTable(ring, ring.var("A"), ring.var("B"), degree_ceiling=degree_ceiling)
-
-
-def f_poly(table: DivisionTable, n: int) -> ExactPoly:
-    """f_n; n=0 gives the zero polynomial (Psi_0 = 0)."""
-    return table.f(n)
 
 
 def check_lemma5(table: DivisionTable, n: int) -> bool:

@@ -160,3 +160,23 @@ def test_factoring_budget_names_the_rho_cofactor(capsys):
     code, out, _ = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405")
     assert code == 0
     assert json.loads(out)["delta_prime_factors"] == {"761": 1, "2094413": 1, "14374475867": 1}
+
+
+def test_alpha_trace_stdout_pinned(capsys):
+    n1 = '{"S":{"den":1,"num":0},"degree":12,"ell":5,"n":1}\n'
+    n2 = (
+        '{"S":{"den":1,"num":0},"degree":300,"ell":5,"n":2,"step8_matches":true,'
+        '"step8_prediction":{"den":1,"num":0}}\n'
+    )
+    for curve in ("1,1", "-2,3"):
+        assert run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "1", "--curve", curve) == (0, n1, "")
+        got = run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "2", "--step8", "--curve", curve)
+        assert got == (0, n2, "")
+
+
+def test_alpha_trace_at_7_2_needs_no_f_49(capsys):
+    # deg f_49 = 1200 is above the table's degree ceiling of 700
+    code, out, _ = run_cli(capsys, "alpha-trace", "--ell", "7", "--n", "2", "--step8", "--curve", "1,1")
+    assert code == 0
+    assert '"step8_matches":true' in out
+    assert json.loads(out)["degree"] == 1176

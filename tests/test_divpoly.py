@@ -5,10 +5,10 @@ import sympy
 
 from shascope.divpoly import (
     DivisionTable,
+    ReducedTable,
     build_phi,
     check_lemma5,
     eq46_parts,
-    f_poly,
     mul_point_formula,
     quotient_g,
     symbolic_table,
@@ -140,7 +140,23 @@ def test_torsion_test_matches_scalar_mul():
             assert torsion_test(t, pt[0], pt[1], n) == (scalar_mul(curve, n, pt) is INFINITY)
 
 
+def test_reduced_table_is_f_n_mod_the_modulus():
+    # over ZZ (psi^2 and a monic cubic squared, halving included) and over QQ
+    for A, B in ((1, 1), (-2, 3)):
+        full = DivisionTable(ZZ, A, B)
+        cubic = ExactPoly.from_ints(ZZ, [3, -1, 2, 1])
+        for M in (full.psi * full.psi, cubic * cubic):
+            red = ReducedTable(ZZ, A, B, M)
+            for n in range(31):
+                assert red.f(n) == full.f(n).mod(M), (A, B, M, n)
+        M = ExactPoly.make(QQ, [Fraction(1, 2), Fraction(0), Fraction(1)])
+        fq = DivisionTable(QQ, Fraction(A), Fraction(B))
+        red = ReducedTable(QQ, Fraction(A), Fraction(B), M * M)
+        for n in range(17):
+            assert red.f(n) == fq.f(n).mod(M * M), (A, B, n)
+
+
 def test_f_poly_zero_and_identity():
     t = table_11()
-    assert f_poly(t, 0).is_zero()
-    assert f_poly(t, 1).coeffs == (1,)
+    assert t.f(0).is_zero()
+    assert t.f(1).coeffs == (1,)

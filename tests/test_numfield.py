@@ -9,6 +9,7 @@ from shascope.divpoly import DivisionTable, quotient_g
 from shascope.errors import DomainError, NotInvertibleError
 from shascope.numfield import (
     QuotRing,
+    _inverse_root_sum,
     alpha_trace_direct,
     alpha_trace_step8,
     bound_constants,
@@ -87,8 +88,34 @@ def test_alpha_trace_direct_is_zero_and_matches_numeric():
 
 
 def test_alpha_trace_element_override():
-    res = alpha_trace_direct(CURVE_A, 5, 1, element=ExactPoly.from_ints(QQ, [3]))
-    assert res.S == 3
+    # the degree-12 oracle ring of alpha traces at (5, 1): a constant 3 over
+    # Q[X]/(f_5) traces to 3 * 12
+    ring = QuotRing(quotient_g(DivisionTable(ZZ, 1, 1), 5, 1))
+    assert trace_in_ring(ring, ExactPoly.from_ints(QQ, [3])) == 3 * 12
+
+
+def test_inverse_root_sum_matches_degree_n_oracle():
+    # the residue route against sum(1/h(r)) = Tr(1/h) in Q[X]/(g_{ell^n});
+    # nonzero values, unlike S, which is 0 on every curve. h runs over psi + 1,
+    # a cubic, a rational root and a non-monic quadratic
+    for model in (CURVE_A, CURVE_B):
+        table = DivisionTable(ZZ, model.A, model.B)
+        hs = ([model.B + 1, model.A, 0, 1], [3, -1, 2, 1], [-7, 1], [1, 0, 2])
+        for ell, n in ((5, 1), (7, 1), (5, 2)):
+            ring = QuotRing(quotient_g(table, ell, n))
+            for h in (ExactPoly.from_ints(QQ, c) for c in hs):
+                want = trace_in_ring(ring, invert_mod(ring, h))
+                assert want != 0
+                assert _inverse_root_sum(model, ell, n, h) == want, (model, ell, n, h)
+
+
+def test_alpha_trace_direct_at_7_2_matches_step8():
+    # f_49 (degree 1200) is above the table's degree ceiling; the residue
+    # route never builds it
+    for model in (CURVE_A, CURVE_B):
+        res = alpha_trace_direct(model, 7, 2)
+        assert res.degree == 1176
+        assert res.S == alpha_trace_step8(model, 7)
 
 
 def test_alpha_trace_step8_matches_direct_level2():
