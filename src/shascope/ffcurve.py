@@ -1,14 +1,19 @@
 """Elliptic curves over F_p (p >= 5): group law, counting, structure,
-ell-primary components, supersingularity. Everything at desk scale: point
-counting is the naive Legendre sum with a configurable ceiling.
+ell-primary components, supersingularity.
+
+#E(F_p) is counted exactly from one table of squares mod p, once per
+FpCurve, up to a configurable ceiling on p. The group structure and the
+ell-primary parts are then proven from that count with a few lazily
+enumerated points: a basis per Sylow subgroup, no pass over all the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from functools import cached_property
+from math import gcd, isqrt
 
-from .arith import factorize, is_prime, legendre, padic_val, sqrt_mod
+from .arith import factorize, is_prime, padic_val, sqrt_mod
 from .curves import ShortModel, p_minimize, reduction_report
 from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation
 
@@ -19,6 +24,10 @@ INFINITY = None  # point at infinity sentinel
 
 @dataclass(frozen=True)
 class FpCurve:
+    """y^2 = x^3 + Ax + B over F_p. The squares table and #E(F_p) are
+    computed on first use and kept on the instance, so a caller that reduces
+    a curve once counts its points once."""
+
     p: int
     A: int
     B: int
@@ -34,6 +43,26 @@ class FpCurve:
             return True
         x, y = pt
         return (y * y - (x**3 + self.A * x + self.B)) % self.p == 0
+
+    @cached_property
+    def _squares(self) -> bytearray:
+        """t[r] = #{y : y^2 = r mod p}: 1 at 0, 2 at the nonzero squares, else 0."""
+        p = self.p
+        t = bytearray(p)
+        t[0] = 1
+        for y in range(1, (p + 1) // 2):
+            t[y * y % p] = 2
+        return t
+
+    @cached_property
+    def _order(self) -> int:
+        """#E(F_p) from the squares table, x and -x together: f(+-x) = B +- x(x^2 + A)."""
+        p, A, B, t = self.p, self.A, self.B, self._squares
+        odd = [x * (x * x + A) for x in range(1, (p + 1) // 2)]
+        n = 1 + t[B % p] + sum([t[(B + g) % p] + t[(B - g) % p] for g in odd])
+        if abs(n - (p + 1)) > 2 * isqrt(p) + 2:
+            raise InvariantViolation(f"Hasse bound violated: order {n} at p={p}")
+        return n
 
 
 def reduce_curve(model: ShortModel, p: int) -> FpCurve:
@@ -86,35 +115,35 @@ def scalar_mul(curve: FpCurve, k: int, P):
     return R
 
 
-def group_order(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> int:
-    """1 + sum over x of (1 + legendre(x^3+Ax+B, p))."""
+def _within(curve: FpCurve, ceiling: int) -> None:
     if curve.p > ceiling:
         raise BudgetError(f"desk-scale ceiling exceeded: p={curve.p} > {ceiling}")
-    p, A, B = curve.p, curve.A, curve.B
-    n = 1
+
+
+def group_order(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> int:
+    """#E(F_p) = 1 + sum over x of #{y : y^2 = x^3 + Ax + B}, read off one
+    table of squares mod p and counted once per FpCurve; Hasse-checked."""
+    _within(curve, ceiling)
+    return curve._order
+
+
+def _affine_points(curve: FpCurve):
+    """The affine points sorted by (x, y), produced on demand from the squares table."""
+    p, A, B, t = curve.p, curve.A, curve.B, curve._squares
     for x in range(p):
-        n += 1 + legendre(x**3 + A * x + B, p)
-    hasse = 2 * isqrt(p) + 2
-    if abs(n - (p + 1)) > hasse:
-        raise InvariantViolation(f"Hasse bound violated: order {n} at p={p}")
-    return n
+        r = (x * (x * x + A) + B) % p
+        if t[r] == 1:
+            yield (x, 0)
+        elif t[r]:
+            y = sqrt_mod(r, p)
+            yield (x, min(y, p - y))
+            yield (x, max(y, p - y))
 
 
 def enumerate_points(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> list:
     """All points, infinity first, affine points sorted by (x, y)."""
-    if curve.p > ceiling:
-        raise BudgetError(f"desk-scale ceiling exceeded: p={curve.p} > {ceiling}")
-    p, A, B = curve.p, curve.A, curve.B
-    pts = [INFINITY]
-    for x in range(p):
-        rhs = (x**3 + A * x + B) % p
-        ls = legendre(rhs, p)
-        if ls == 0:
-            pts.append((x, 0))
-        elif ls == 1:
-            r = sqrt_mod(rhs, p)
-            pts.extend(sorted([(x, r), (x, p - r)]))
-    return pts
+    _within(curve, ceiling)
+    return [INFINITY, *_affine_points(curve)]
 
 
 def point_order(curve: FpCurve, P, *, group_order_hint: int | None = None) -> int:
@@ -133,27 +162,68 @@ def point_order(curve: FpCurve, P, *, group_order_hint: int | None = None) -> in
     return n
 
 
-def _sylow_classes(curve: FpCurve, pts: list, ell: int, v: int) -> tuple[dict, int, int]:
-    """(points_by_order, e1, e2) for the ell-Sylow subgroup, v = v_ell(#E).
+def _exponent(curve: FpCurve, R, q: int, v: int) -> tuple:
+    """(k, q^(k-1)·R) for R of order q^k with k <= v."""
+    k, low = 0, INFINITY
+    while R is not INFINITY:
+        if k == v:
+            raise InvariantViolation("point order does not divide group order")
+        low, R = R, scalar_mul(curve, q, R)
+        k += 1
+    return k, low
 
-    A point lies in the ell-Sylow subgroup iff at most v multiplications by ell
-    take it to O, and the count is its exponent. The subgroup is
-    Z/ell^e1 x Z/ell^e2 with e2 the largest exponent and e1 = v - e2.
+
+def _line(curve: FpCurve, low, q: int) -> dict:
+    """{j·low: j for 0 <= j < q}, the subgroup of order q through low."""
+    line, T = {INFINITY: 0}, low
+    for j in range(1, q):
+        line[T] = j
+        T = add(curve, T, low)
+    return line
+
+
+def _off_line(curve: FpCurve, R, q: int, v: int, R1, k1: int, line: dict) -> tuple:
+    """(R2, k2) with R2 = R - c·R1 and <R2> ∩ <R1> = {O}, for R of order at
+    most q^k1 = ord(R1) and line = _line of q^(k1-1)·R1.
+
+    While R's order-q multiple lies on line, say at j·q^(k1-1)·R1, subtracting
+    j·q^(k1-k)·R1 lowers the order q^k of R. So q^k2 is the order of R's image
+    in G/<R1> (one Pohlig-Hellman digit per step).
     """
-    by_order: dict[int, list] = {}  # filled in enumeration order, so sorted
-    e2 = 0
-    for P in pts[1:]:
-        R, k = P, 0
-        while R is not INFINITY and k < v:
-            R = scalar_mul(curve, ell, R)
-            k += 1
-        if R is INFINITY:
-            by_order.setdefault(ell**k, []).append(P)
-            e2 = max(e2, k)
-    e1 = v - e2
-    if 1 + sum(map(len, by_order.values())) != ell**v or e1 > e2:
-        raise InvariantViolation(f"ell-power points do not form a group of order {ell}^{v} with e1 <= e2")
-    return by_order, e1, e2
+    k, low = _exponent(curve, R, q, v)
+    while k and low in line:
+        R = add(curve, R, scalar_mul(curve, -line[low] * q ** (k1 - k), R1))
+        k, low = _exponent(curve, R, q, v)
+    return R, k
+
+
+def _sylow_basis(curve: FpCurve, N: int, q: int, v: int) -> tuple:
+    """((R1, k1), (R2, k2)) with k1 >= k2, k1 + k2 = v, spanning the q-Sylow
+    subgroup S = (N/q^v)·E(F_p), which has q^v points by the count.
+
+    The points are walked lazily and mapped into S. A point of order q^v
+    proves S cyclic (R2 = O). Otherwise R1 is the longest element so far and
+    each new element is reduced modulo <R1> (_off_line) until the orders
+    add up to v. Then <R1> ∩ <R2> = {O}, so |<R1, R2>| = q^v = |S| and
+    S = Z/q^k2 x Z/q^k1, proven from the exact count.
+    """
+    m = N // q**v
+    top = None  # (R1, k1, _line of R1): the element of largest order so far
+    for P in _affine_points(curve):
+        R = scalar_mul(curve, m, P)
+        k, low = _exponent(curve, R, q, v)
+        if k == v:
+            return (R, v), (INFINITY, 0)
+        if k == 0:
+            continue
+        if top is None or k > top[1]:  # R is the new longest; reduce the old one instead
+            top, R = (R, k, _line(curve, low, q)), (top[0] if top else INFINITY)
+        R2, k2 = _off_line(curve, R, q, v, *top)
+        if top[1] + k2 > v:
+            raise InvariantViolation(f"{q}-Sylow subgroup exceeds {q}^{v} points")
+        if top[1] + k2 == v:
+            return top[:2], (R2, k2)
+    raise InvariantViolation(f"no basis of the {q}-Sylow subgroup of order {q}^{v}")
 
 
 @dataclass(frozen=True)
@@ -167,27 +237,30 @@ class GroupStructure:
 def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupStructure:
     """Invariant factors Z/n1 x Z/n2 with generators; n1 | gcd(n2, p-1).
 
-    #E is factored once. The q-part is non-cyclic only if E[q] lies in E(F_p),
-    which the Weil pairing allows only when q | p - 1, so the q-Sylow pass
-    runs just for primes q with q^2 | #E and q | p - 1.
+    Certificate: N = #E(F_p) is the exact count, factored once. For q^v || N
+    the q-Sylow subgroup is Z/q^e1 x Z/q^(v-e1). It is cyclic (e1 = 0) when
+    v = 1, or when q does not divide p - 1: a non-cyclic q-part contains E[q],
+    and the Weil pairing puts E[q] in E(F_p) only if q | p - 1. Every other q
+    gets e1 from a basis of its Sylow subgroup (_sylow_basis), and
+    n1 = prod q^e1. gen2 is the first point in enumeration order of exact
+    order n2. The second generator is the first point whose image in
+    G/<gen2> = Z/n1 has order n1: for each q | n1, its q-part reduced modulo
+    the q-part of gen2 (_off_line) keeps order q^e1.
     """
-    pts = enumerate_points(curve, ceiling=ceiling)
-    N = len(pts)
-    for P in pts[1:]:
-        if scalar_mul(curve, N, P) is not INFINITY:
-            raise InvariantViolation("point order does not divide group order")
+    N = group_order(curve, ceiling=ceiling)
     fac = factorize(N)
+    bases = {
+        q: (v, _sylow_basis(curve, N, q, v)[1][1])
+        for q, v in fac
+        if v > 1 and (curve.p - 1) % q == 0
+    }
     n1 = 1
-    for q, v in fac:
-        if v > 1 and (curve.p - 1) % q == 0:
-            n1 *= q ** _sylow_classes(curve, pts, q, v)[1]
-    n2 = N // n1
-    if n1 * n2 != N:
-        raise InvariantViolation("invariant factors do not multiply to the order")
+    for q, (_, e1) in bases.items():
+        n1 *= q**e1
+    n2 = N // n1  # exact: each e1 <= v
     if n1 > 1 and (n2 % n1 != 0 or (curve.p - 1) % n1 != 0):
         raise InvariantViolation("Weil constraint n1 | gcd(n2, p-1) violated")
-    # first generator: the first point of exact order n2, as a max-order scan finds
-    for gen2 in pts[1:]:
+    for gen2 in _affine_points(curve):
         if scalar_mul(curve, n2, gen2) is INFINITY and all(
             scalar_mul(curve, n2 // q, gen2) is not INFINITY for q in fac.primes()
         ):
@@ -196,22 +269,18 @@ def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> 
         raise InvariantViolation(f"no point of order {n2}")
     if n1 == 1:
         return GroupStructure(N, 1, n2, (gen2,))
-    # second generator: smallest point whose class generates G/<gen2>
-    cyclic = {INFINITY}
-    Q = gen2
-    while Q is not INFINITY:
-        cyclic.add(Q)
-        Q = add(curve, Q, gen2)
-    for P in pts[1:]:
-        if P in cyclic:
-            continue
-        # order of P's image in G/<gen2>
-        j = 1
-        R = P
-        while R not in cyclic:
-            j += 1
-            R = add(curve, R, P)
-        if j == n1 and point_order(curve, P, group_order_hint=N) % n1 == 0:
+    parts = []  # per q | n1: N/q^v, then the q-part of gen2, its exponent and line
+    for q, (v, e1) in bases.items():
+        if e1:
+            m = N // q**v
+            G = scalar_mul(curve, m, gen2)
+            k, low = _exponent(curve, G, q, v)
+            parts.append((q, v, e1, m, (G, k, _line(curve, low, q))))
+    for P in _affine_points(curve):
+        if all(
+            _off_line(curve, scalar_mul(curve, m, P), q, v, *top)[1] == e1
+            for q, v, e1, m, top in parts
+        ):
             return GroupStructure(N, n1, n2, (gen2, P))
     raise InvariantViolation("no second generator found")
 
@@ -227,17 +296,36 @@ class EllPrimary:
 
 
 def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILING) -> EllPrimary:
-    """Structure of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell."""
+    """Structure and points of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell.
+
+    The subgroup is built from its basis (_sylow_basis): a·R1 + b·R2 has order
+    max(ord(a·R1), ord(b·R2)), since <R1> ∩ <R2> = {O}. Exactly ell^v distinct
+    points must come out, v = v_ell(#E).
+    """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    pts = enumerate_points(curve, ceiling=ceiling)
-    v = padic_val(len(pts), ell)
-    by_order, e1, e2 = _sylow_classes(curve, pts, ell, v)
-    size = ell**v
+    N = group_order(curve, ceiling=ceiling)
+    v = padic_val(N, ell)
+    (R1, e2), (R2, e1) = _sylow_basis(curve, N, ell, v)
+    n1, n2 = ell**e1, ell**e2
+    by_order: dict[int, list] = {}
+    S = INFINITY
+    for b in range(n1):
+        Q = S
+        for a in range(n2):
+            if Q is not INFINITY:
+                o = max(n2 // gcd(a, n2), n1 // gcd(b, n1))
+                by_order.setdefault(o, []).append(Q)
+            Q = add(curve, Q, R1)
+        S = add(curve, S, R2)
+    points = {P for pts in by_order.values() for P in pts}
+    if 1 + len(points) != ell**v:
+        raise InvariantViolation(f"ell-Sylow basis spans {1 + len(points)} points, not {ell}^{v}")
     cyclic = e1 == 0
     if curve.p % ell != 1 and not cyclic:
         raise InvariantViolation(f"ell-component not cyclic despite p != 1 mod {ell}")
-    return EllPrimary(ell, size, e1, e2, cyclic, by_order)
+    by_order = {o: sorted(by_order[o]) for o in sorted(by_order)}
+    return EllPrimary(ell, ell**v, e1, e2, cyclic, by_order)
 
 
 def is_supersingular(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> bool:

@@ -104,7 +104,7 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
         raise DomainError("p and ell must be prime")
     _check_precondition(model, p, ell)
     curve = reduce_curve(model, p)  # raises on bad reduction
-    N = group_order(curve)
+    N = group_order(curve)  # kept on `curve`, so ell_primary below does not recount
     n = padic_val(N, ell) if N % ell == 0 else 0
     m = N // ell**n
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from shascope import ffcurve
 from shascope.cli import main
 
 EX3_MIN = "-5316979,-4724275762"
@@ -77,6 +78,33 @@ def test_ffgroup_non_cyclic_fixture(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f5519dedb29faa7c7de883c00f8cf08de4de5d4ec9d2f2e72154aaff18ff4eb1"
     )
+
+
+def test_ffgroup_work_is_far_below_one_addition_per_point(capsys, monkeypatch):
+    # the structure is proven from the count: a loop over the points would
+    # make at least one addition per point, about 10^5 here
+    calls = []
+    add = ffcurve.add
+    monkeypatch.setattr(ffcurve, "add", lambda *args: calls.append(1) or add(*args))
+    for command in ("ffgroup", "lift"):
+        code, out, _ = run_cli(capsys, command, "--p", "100003", "--ell", "3", "--curve", "1,1")
+        assert code == 0 and out
+    assert 0 < len(calls) < 1000
+
+
+def test_ffgroup_and_lift_at_the_ceiling(capsys, monkeypatch):
+    def enumerate_points(*args, **kwargs):
+        raise AssertionError("E(F_p) listed in full")
+
+    monkeypatch.setattr(ffcurve, "enumerate_points", enumerate_points)
+    for curve in ("1,1", "-1,0"):
+        for command in ("ffgroup", "lift"):
+            code, out, _ = run_cli(capsys, command, "--p", "999983", "--ell", "3", "--curve", curve)
+            assert code == 0 and json.loads(out)["p"] == 999983
+    for command in ("ffgroup", "lift"):
+        code, out, err = run_cli(capsys, command, "--p", "1000003", "--ell", "3", "--curve", "1,1")
+        assert (code, out) == (3, "")
+        assert "ceiling exceeded: p=1000003 > 1000000" in err
 
 
 def test_lift_non_cyclic_exit_2(capsys):

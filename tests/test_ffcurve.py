@@ -1,6 +1,6 @@
 import pytest
 
-from shascope.arith import is_prime
+from shascope.arith import is_prime, padic_val
 from shascope.curves import ShortModel
 from shascope.errors import BadReductionError, DomainError
 from shascope.ffcurve import (
@@ -137,13 +137,18 @@ def test_ell_primary_matches_point_order_oracle():
     assert non_cyclic > 0  # the sweep reaches Z/ell x Z/ell^k parts
 
 
-def _oracle_structure(c):
+def _brute_orders(c):
+    """Every point, in enumeration order, with its order."""
+    pts = enumerate_points(c)
+    return pts, [point_order(c, P, group_order_hint=len(pts)) for P in pts]
+
+
+def _oracle_structure(c, brute=None):
     """Brute force: the exponent n2 is the largest point order, the first
     point reaching it generates, and the second generator is the first point
     whose image in G/<gen2> has order n1 = N/n2 and whose order n1 divides."""
-    pts = enumerate_points(c)
+    pts, orders = brute or _brute_orders(c)
     N = len(pts)
-    orders = [point_order(c, P, group_order_hint=N) for P in pts]
     n2 = max(orders)
     gen2 = pts[orders.index(n2)]
     n1 = N // n2
@@ -170,3 +175,22 @@ def test_group_structure_matches_brute_force_oracle():
             assert (st.order, st.n1, st.n2, st.generators) == _oracle_structure(c), (A, B, p)
             non_cyclic += st.n1 > 1
     assert non_cyclic > 0  # the sweep reaches Z/n1 x Z/n2 with n1 > 1
+
+
+def test_certificate_matches_brute_force_at_mid_p():
+    # non-cyclic groups at p in [10^4, 3*10^4]: Z/4 x Z/2504 (p = 1 mod 8),
+    # Z/6 x Z/2478 (two primes divide n1) and Z/2 x Z/8192 (a deep 2-part)
+    for A, B, p in ((-1, 0, 10009), (-43, 166, 15061), (-7, 6, 16433)):
+        c = FpCurve(p, A % p, B % p)
+        brute = _brute_orders(c)
+        st = group_structure(c)
+        assert st.n1 > 1
+        assert (st.order, st.n1, st.n2, st.generators) == _oracle_structure(c, brute), (A, B, p)
+        for ell in (2, 3):
+            want = {}
+            for P, o in zip(*brute):
+                if o > 1 and ell ** o.bit_length() % o == 0:  # o is a power of ell
+                    want.setdefault(o, []).append(P)
+            prim = ell_primary(c, ell)
+            assert prim.points_by_order == want, (A, B, p, ell)
+            assert (prim.e1, prim.e2) == (padic_val(st.n1, ell), padic_val(st.n2, ell)), (A, B, p, ell)

@@ -55,6 +55,17 @@ def test_borel_excluded_example3():
     assert excluded and q == 3
 
 
+def test_borel_excluded_needs_q_coprime_to_p0_minus_1():
+    # Example 3's only Phi-order primes are 2 and 3 (Phi = 6 at 23); 2 divides
+    # every p0(p0 - 1), and 3 does not divide p0(p0 - 1) only for p0 = 2 mod 3
+    reports = _reports(EX3_LONG)
+    got = {p0: borel_excluded(reports, p0)[:2] for p0 in (2, 3, 5, 7, 11, 13, 19)}
+    assert got == {
+        2: (True, 3), 3: (False, None), 5: (True, 3), 7: (False, None),
+        11: (True, 3), 13: (False, None), 19: (False, None),
+    }
+
+
 def test_serre_bound_exact():
     # oracle: integer part of (sqrt(p)+1)^8 via very high precision isqrt scaling
     for p in (2, 3, 5, 7, 11, 13, 101):
@@ -83,6 +94,16 @@ def test_image_verdict_example3():
     assert [ell for ell, ok in full.items() if not ok] == [2, 3, 7]
     v = image_verdict(reports, 5)
     assert v.chain == "b"
+
+
+def test_chain_c_excludes_ell_dividing_delta_prime():
+    # y^2 = x^3 + x + 7: delta' = 1327, prime and multiplicative, so 1327 is
+    # its own Tate witness; 2 is good and serre_bound(2) = 1153 < 1327
+    reports = bad_primes(ShortModel(1, 7))
+    assert [r.p for r in reports] == [1327]
+    assert not image_verdict(reports, 1327, chains=("c",)).full
+    v = image_verdict(reports, 1361, chains=("c",))
+    assert v.full and v.chain == "c"
 
 
 def test_image_verdict_chain_monotonicity():
