@@ -208,3 +208,29 @@ def test_alpha_trace_at_7_2_needs_no_f_49(capsys):
     assert code == 0
     assert '"step8_matches":true' in out
     assert json.loads(out)["degree"] == 1176
+
+
+POLY_ENGINE_PINS = [
+    (("divpoly", "--n", "12", "--curve", "1,1"),
+     "039678c1942a7ae685ce230fef0021ca6895116fa069e8616a80a26182383fd7"),
+    (("divpoly", "--n", "7", "--symbolic"),
+     "e6216fe264218988acb3d7ea38e372eec1bfccc25926b7198b0985b5867d8207"),
+    (("verify-identities", "--max-n", "12"),
+     "257b02e17f3871065b4ea2993cd8541f258517f27c0acc7184cce97c86258641"),
+    (("cor-traces", "--ell", "5", "--curve", "-2,3"),
+     "7ea78d1102cab03aa94dd720227ebcfbcdfba6842fafb8e892755787227ae666"),
+    (("alpha-trace", "--ell", "5", "--n", "2", "--step8", "--curve", "1,1"),
+     "21891bbc6acaed80a86658660071e8a994d2eb0b1459beb2edda6069dffd1ced"),
+    (("lift", "--p", "7", "--ell", "5", "--curve", EX3_MIN),
+     "1dbd003160d164e796757b482e6f05a19fe26be6804e2a79d755342f67f0054b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", POLY_ENGINE_PINS, ids=[argv[0] for argv, _ in POLY_ENGINE_PINS])
+def test_poly_engine_stdout_pinned(capsys, argv, digest):
+    # bytes pinned from the implementation with per-coefficient Ring adapter
+    # calls; a QQ coefficient that became an int would print 3, not
+    # {"den":1,"num":3}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
