@@ -119,7 +119,7 @@ def _render_symbolic(poly: ExactPoly) -> str:
     terms = []
     for i in range(poly.degree(), -1, -1):
         c = poly.coeff(i)
-        if poly.ring.is_zero(c):
+        if not c:
             continue
         cs = repr(c) if not isinstance(c, int) else str(c)
         if i == 0:

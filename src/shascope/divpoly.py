@@ -37,41 +37,18 @@ class DivisionTable:
         self.A = A
         self.B = B
         self.degree_ceiling = degree_ceiling
-        one = ring.from_int(1)
-        self.psi = ExactPoly.make(ring, [B, A, ring.from_int(0), one])  # X^3+AX+B
+        c = ring.from_int
+        self.psi = ExactPoly.make(ring, [B, A, c(0), c(1)])  # X^3+AX+B
         self._psi2 = self.psi * self.psi
-        A2 = ring.mul(A, A)
+        A2 = A * A
         self._memo: dict[int, ExactPoly] = {
             0: ExactPoly.make(ring, []),
-            1: ExactPoly.const(ring, one),
-            2: ExactPoly.const(ring, ring.from_int(2)),
-            3: ExactPoly.make(
-                ring,
-                [
-                    ring.neg(A2),
-                    ring.mul(ring.from_int(12), B),
-                    ring.mul(ring.from_int(6), A),
-                    ring.from_int(0),
-                    ring.from_int(3),
-                ],
-            ),
+            1: ExactPoly.const(ring, c(1)),
+            2: ExactPoly.const(ring, c(2)),
+            3: ExactPoly.make(ring, [-A2, 12 * B, 6 * A, c(0), c(3)]),
             4: ExactPoly.make(
-                ring,
-                [
-                    ring.neg(
-                        ring.add(
-                            ring.mul(ring.from_int(8), ring.mul(B, B)),
-                            ring.mul(A2, A),
-                        )
-                    ),
-                    ring.neg(ring.mul(ring.from_int(4), ring.mul(A, B))),
-                    ring.neg(ring.mul(ring.from_int(5), A2)),
-                    ring.mul(ring.from_int(20), B),
-                    ring.mul(ring.from_int(5), A),
-                    ring.from_int(0),
-                    ring.from_int(1),
-                ],
-            ).scale_int(4),
+                ring, [-4 * (8 * B * B + A2 * A), -16 * A * B, -20 * A2, 80 * B, 20 * A, c(0), c(4)]
+            ),
         }
 
     @staticmethod
@@ -154,11 +131,10 @@ def check_lemma5(table: DivisionTable, n: int) -> bool:
         raise DomainError("n >= 1 required")
     fn = table.f(n)
     d = table.expected_degree(n)
-    r = table.ring
     if fn.degree() != d:
         return False
-    lead_ok = fn.lc() == r.from_int(n)
-    sub_ok = d == 0 or r.is_zero(fn.coeff(d - 1))
+    lead_ok = fn.lc() == table.ring.from_int(n)
+    sub_ok = d == 0 or not fn.coeff(d - 1)
     return lead_ok and sub_ok
 
 
@@ -196,7 +172,7 @@ def build_phi(table: DivisionTable, m: int, lam) -> ExactPoly:
     r = table.ring
     if isinstance(lam, int):
         lam = r.from_int(lam)
-    x_minus_lam = ExactPoly.make(r, [r.neg(lam), r.from_int(1)])
+    x_minus_lam = ExactPoly.make(r, [-lam, r.from_int(1)])
     cross = table.f(m - 1) * table.f(m + 1)
     if m % 2 == 1:
         # m-1, m+1 even: Psi'_{m-1} Psi'_{m+1} = f_{m-1} f_{m+1} y^2
@@ -208,30 +184,11 @@ def eq46_parts(table: DivisionTable):
     """(f, phi, g, psi, delta') with f*phi - g*psi = delta' = 4A^3 + 27B^2."""
     r = table.ring
     A, B = table.A, table.B
-    f = ExactPoly.make(r, [r.mul(r.from_int(4), A), r.from_int(0), r.from_int(3)])
-    phi = ExactPoly.make(
-        r,
-        [
-            r.mul(A, A),
-            r.neg(r.mul(r.from_int(8), B)),
-            r.neg(r.mul(r.from_int(2), A)),
-            r.from_int(0),
-            r.from_int(1),
-        ],
-    )
-    g = ExactPoly.make(
-        r,
-        [
-            r.neg(r.mul(r.from_int(27), B)),
-            r.neg(r.mul(r.from_int(5), A)),
-            r.from_int(0),
-            r.from_int(3),
-        ],
-    )
-    delta = r.add(
-        r.mul(r.from_int(4), r.mul(A, r.mul(A, A))),
-        r.mul(r.from_int(27), r.mul(B, B)),
-    )
+    c = r.from_int
+    f = ExactPoly.make(r, [4 * A, c(0), c(3)])
+    phi = ExactPoly.make(r, [A * A, -8 * B, -2 * A, c(0), c(1)])
+    g = ExactPoly.make(r, [-27 * B, -5 * A, c(0), c(3)])
+    delta = 4 * A * A * A + 27 * B * B
     return f, phi, g, table.psi, delta
 
 
@@ -245,9 +202,7 @@ def verify_eq46(table: DivisionTable) -> bool:
 def _w(table: DivisionTable, k: int, x, y):
     """Psi'_k(x, y) evaluated in the (field) coefficient ring."""
     v = table.f(k).evaluate(x)
-    if k % 2 == 0:
-        v = table.ring.mul(v, y)
-    return v
+    return v * y if k % 2 == 0 else v
 
 
 def mul_point_formula(table: DivisionTable, x, y, a: int):
@@ -267,19 +222,14 @@ def mul_point_formula(table: DivisionTable, x, y, a: int):
     if a == 1:
         return x, y
     wa = _w(table, a, x, y)
-    wa2 = r.mul(wa, wa)
-    if r.is_zero(wa2):
+    wa2 = wa * wa
+    if not wa2:  # over F_p a product of reduced residues is 0 only if a factor is
         raise DomainError(f"point is {a}-torsion; [a]P = O")
-    num_x = r.mul(_w(table, a - 1, x, y), _w(table, a + 1, x, y))
-    xa = r.add(x, r.neg(r.exact_div(num_x, wa2)))
-    wm1sq = r.mul(_w(table, a - 1, x, y), _w(table, a - 1, x, y))
-    wp1sq = r.mul(_w(table, a + 1, x, y), _w(table, a + 1, x, y))
-    num_y = r.add(
-        r.mul(_w(table, a + 2, x, y), wm1sq),
-        r.neg(r.mul(_w(table, a - 2, x, y), wp1sq)),
-    )
-    den_y = r.mul(r.from_int(4), r.mul(y, r.mul(wa2, wa)))
-    ya = r.exact_div(num_y, den_y)
+    wm1, wp1 = _w(table, a - 1, x, y), _w(table, a + 1, x, y)
+    # one exact division each, which also reduces the value over F_p
+    xa = r.exact_div(x * wa2 - wm1 * wp1, wa2)
+    num_y = _w(table, a + 2, x, y) * wm1 * wm1 - _w(table, a - 2, x, y) * wp1 * wp1
+    ya = r.exact_div(num_y, 4 * y * wa2 * wa)
     return xa, ya
 
 
@@ -296,9 +246,9 @@ def torsion_test(table: DivisionTable, x, y, n: int) -> bool:
     if isinstance(y, int):
         y = r.from_int(y)
     fnx = table.f(n).evaluate(x)
-    if not r.is_zero(y):
-        return r.is_zero(fnx)
+    if y:
+        return not fnx
     # y = 0: (Psi'_n)^2 = f_n(x)^2 * psi(x) for even n, psi(x) = y^2 = 0
     if n % 2 == 0:
         return True
-    return r.is_zero(fnx)
+    return not fnx

@@ -16,10 +16,6 @@ from .arith import factorize, is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
 from .errors import DomainError
 
-# odd prime orders that can divide a rational point per the rational torsion
-# classification; used only by the optional chain, see image_verdict
-MAZUR_PRIME_ORDERS = (2, 3, 5, 7)
-
 
 def small_exceptional(ell: int) -> bool:
     """ell with (ell - 1) | 12; the mod-ell cyclotomic character is too small
@@ -88,16 +84,18 @@ def borel_excluded(reports: list[ReductionReport], p0: int) -> tuple[bool, int |
     """Borel (reducible) images excluded at every ell coprime to p0(p0 - 1):
     a potentially good prime p whose Phi-order candidates share a prime factor
     q with q not dividing p0(p0 - 1) forces an inertia element incompatible
-    with an eigenbasis.
+    with an eigenbasis. At ell = p, Phi_p says nothing about how inertia acts
+    on E[ell], so a caller deciding one ell drops the report for p = ell.
 
     Returns (excluded, the shared prime q or None, notes).
     """
     return _borel_excluded(_phi_prime_sets(reports), p0)
 
 
-def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[list[int], list[str]]]:
-    """Per potentially good prime with supported Phi-order candidates, in report
-    order: the primes dividing every candidate (ascending) and the notes."""
+def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[int, list[int], list[str]]]:
+    """Per potentially good prime p with supported Phi-order candidates, in
+    report order: p, the primes dividing every candidate (ascending) and the
+    notes."""
     out = []
     for r in reports:
         if r.potential != "potentiallyGood":
@@ -107,15 +105,15 @@ def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[list[int], lis
         except DomainError:
             continue
         common = set.intersection(*(set(factorize(c).primes()) for c in cands))
-        out.append((sorted(common), notes))
+        out.append((r.p, sorted(common), notes))
     return out
 
 
 def _borel_excluded(
-    phi_sets: list[tuple[list[int], list[str]]], p0: int
+    phi_sets: list[tuple[int, list[int], list[str]]], p0: int
 ) -> tuple[bool, int | None, list[str]]:
     notes: list[str] = []
-    for common, c_notes in phi_sets:
+    for _, common, c_notes in phi_sets:
         notes.extend(c_notes)
         for q in common:
             if p0 % q != 0 and (p0 - 1) % q != 0:
@@ -157,7 +155,6 @@ def image_verdict(
     reports: list[ReductionReport],
     ell: int,
     *,
-    use_mazur_chain: bool = False,
     chains: tuple[str, ...] = ("a", "b", "c"),
 ) -> Verdict:
     """Attempt to certify that the mod-ell image is all of GL_2(F_ell).
@@ -165,17 +162,14 @@ def image_verdict(
     Chains, tried in order:
       a. semistable: every bad prime multiplicative and ell >= 11.
       b. ell >= 5, the Tate order rule holds at some p0, and Borel images are
-         excluded via a potentially good prime (shared Phi-order factor q with
-         q coprime to p0(p0 - 1)).
+         excluded via a potentially good prime p != ell (shared Phi-order
+         factor q with q coprime to p0(p0 - 1)).
       c. ell > serre_bound(p) for the smallest good prime p, ell does not
          divide delta', and the Tate order rule holds.
-    The optional Mazur chain (rational-torsion classification) additionally
-    excludes Borel images with a rational eigenvector for ell not in
-    {2, 3, 5, 7}; it is off by default, see `use_mazur_chain`.
     """
     if not is_prime(ell):
         raise DomainError("ell must be prime")
-    return _image_verdict(reports, _curve_facts(reports), ell, use_mazur_chain, chains)
+    return _image_verdict(reports, _curve_facts(reports), ell, chains)
 
 
 def _curve_facts(reports: list[ReductionReport]) -> tuple[list, int, int]:
@@ -192,7 +186,6 @@ def _image_verdict(
     reports: list[ReductionReport],
     facts: tuple[list, int, int],
     ell: int,
-    use_mazur_chain: bool,
     chains: tuple[str, ...],
 ) -> Verdict:
     phi_sets, p, sb = facts
@@ -208,8 +201,9 @@ def _image_verdict(
         reasons.append("no potentially multiplicative prime with ell coprime to ord(j)")
 
     if "b" in chains and ell >= 5 and tate_ok:
+        away_from_ell = [s for s in phi_sets if s[0] != ell]
         for w in witnesses:
-            excluded, q, notes = _borel_excluded(phi_sets, w)
+            excluded, q, notes = _borel_excluded(away_from_ell, w)
             reasons.extend(notes)
             if excluded:
                 return Verdict(
@@ -242,20 +236,6 @@ def _image_verdict(
             )
         reasons.append(f"ell={ell} not above serre_bound for the smallest good prime")
 
-    if use_mazur_chain and tate_ok and ell not in MAZUR_PRIME_ORDERS:
-        return Verdict(
-            ell,
-            True,
-            "mazur",
-            tuple(
-                reasons
-                + [
-                    f"order-ell element from p0={p0}",
-                    f"ell={ell} exceeds the rational torsion prime orders (opt-in chain)",
-                ]
-            ),
-        )
-
     return Verdict(ell, False, None, tuple(reasons or ("no chain applicable",)))
 
 
@@ -278,7 +258,6 @@ def theorem5_report(
     model,
     *,
     scan_bound: int = 10**4,
-    use_mazur_chain: bool = False,
     chains: tuple[str, ...] = ("a", "b", "c"),
 ) -> Theorem5Report:
     """Finite candidate set of primes ell with possibly non-full mod-ell image.
@@ -303,7 +282,7 @@ def theorem5_report(
     smallest_full: int | None = None
     facts = _curve_facts(reports)
     for ell in primes_below(scan_bound):
-        v = _image_verdict(reports, facts, ell, use_mazur_chain, chains)
+        v = _image_verdict(reports, facts, ell, chains)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

@@ -141,10 +141,7 @@ def cor7_check(model: ShortModel | None, ell: int, lam="symbolic") -> bool:
         table = DivisionTable(QQ, Fraction(model.A), Fraction(model.B))
         lam_el = Fraction(lam)
     phi = build_phi(table, ell, lam_el)
-    r = table.ring
-    got = phi.coeff(ell * ell - 1)
-    want = r.neg(r.mul(r.from_int(ell * ell), lam_el))
-    return got == want
+    return phi.coeff(ell * ell - 1) == -(ell * ell) * lam_el
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ ExactPoly stores coefficients low-degree-first over one of:
   MPolyRing(vars) -- MPoly, sparse multivariate integer polynomials
                      (used for the symbolic rings Z[A,B] and Z[A,B,lam])
 
+Coefficients compute with Python's +, - and *, and a coefficient is zero
+when it is falsy. A Ring supplies only constants (from_int) and exact
+division (exact_div). ExactPoly.make is the one place F_p reduces: products
+and sums run on plain ints and each output coefficient is taken mod p once.
+
 Division is exact-by-construction: divmod steps that would leave the ring
 raise, and exact_div asserts a zero remainder.
 """
@@ -44,8 +49,8 @@ class MPoly:
         e[vars.index(name)] = 1
         return cls(vars, {tuple(e): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_const(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * len(self.vars)}
@@ -69,7 +74,9 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
-    def __mul__(self, other: "MPoly") -> "MPoly":
+    def __mul__(self, other: "MPoly | int") -> "MPoly":
+        if isinstance(other, int):
+            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         t: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -77,8 +84,7 @@ class MPoly:
                 t[e] = t.get(e, 0) + c1 * c2
         return MPoly(self.vars, t)
 
-    def scale_int(self, k: int) -> "MPoly":
-        return MPoly(self.vars, {e: c * k for e, c in self.terms.items()})
+    __rmul__ = __mul__
 
     def exact_div_int(self, k: int) -> "MPoly":
         t = {}
@@ -134,23 +140,13 @@ class MPoly:
 
 
 class Ring:
+    """Constants and exact division; arithmetic is the elements' own."""
+
     name: str = "?"
     characteristic: int = 0
 
     def from_int(self, k: int):
         raise NotImplementedError
-
-    def is_zero(self, c) -> bool:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def exact_div(self, a, b):
         """a / b when exact in the ring; InvariantViolation otherwise."""
@@ -166,9 +162,6 @@ class _ZZ(Ring):
     def from_int(self, k):
         return int(k)
 
-    def is_zero(self, c):
-        return c == 0
-
     def exact_div(self, a, b):
         q, r = divmod(a, b)
         if r != 0:
@@ -181,9 +174,6 @@ class _QQ(Ring):
 
     def from_int(self, k):
         return Fraction(k)
-
-    def is_zero(self, c):
-        return c == 0
 
     def exact_div(self, a, b):
         if b == 0:
@@ -199,18 +189,6 @@ class Fp(Ring):
 
     def from_int(self, k):
         return k % self.p
-
-    def is_zero(self, c):
-        return c % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
 
     def exact_div(self, a, b):
         if b % self.p == 0:
@@ -235,9 +213,6 @@ class MPolyRing(Ring):
     def var(self, name: str) -> MPoly:
         return MPoly.var(self.vars, name)
 
-    def is_zero(self, c):
-        return c.is_zero()
-
     def exact_div(self, a: MPoly, b: MPoly) -> MPoly:
         if b.is_const():
             return a.exact_div_int(b.const_value())
@@ -254,7 +229,6 @@ ZZ = _ZZ()
 QQ = _QQ()
 
 ZAB = MPolyRing(("A", "B"))
-ZABL = MPolyRing(("A", "B", "lam"))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +245,9 @@ class ExactPoly:
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "ExactPoly":
-        cs = list(coeffs)
-        while cs and ring.is_zero(cs[-1]):
+        p = ring.characteristic
+        cs = [c % p for c in coeffs] if p else list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         return cls(ring, tuple(cs))
 
@@ -306,83 +281,70 @@ class ExactPoly:
         return self.ring.from_int(0)
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        r = self.ring
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            out.append(r.add(self.coeff(i), other.coeff(i)))
-        return ExactPoly.make(r, out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return ExactPoly.make(self.ring, [x + y for x, y in zip(a, b)] + list(a[len(b) :]))
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly.make(self.ring, [self.ring.neg(c) for c in self.coeffs])
+        return ExactPoly.make(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        r = self.ring
-        if self.is_zero() or other.is_zero():
-            return ExactPoly.make(r, [])
-        out = [r.from_int(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if r.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = r.add(out[i + j], r.mul(a, b))
-        return ExactPoly.make(r, out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ExactPoly(self.ring, ())
+        out = [self.ring.from_int(0)] * (len(a) + len(b) - 1)
+        n = len(b)
+        for i, c in enumerate(a):
+            if c:
+                out[i : i + n] = [o + c * d for o, d in zip(out[i : i + n], b)]
+        return ExactPoly.make(self.ring, out)
 
     def scale(self, k) -> "ExactPoly":
-        r = self.ring
-        return ExactPoly.make(r, [r.mul(c, k) for c in self.coeffs])
-
-    def scale_int(self, k: int) -> "ExactPoly":
-        return self.scale(self.ring.from_int(k))
+        return ExactPoly.make(self.ring, [c * k for c in self.coeffs])
 
     def exact_div_scalar(self, k) -> "ExactPoly":
         r = self.ring
         return ExactPoly.make(r, [r.exact_div(c, k) for c in self.coeffs])
 
-    def shift(self, n: int) -> "ExactPoly":
-        """Multiply by X**n."""
-        if self.is_zero():
-            return self
-        return ExactPoly.make(self.ring, [self.ring.from_int(0)] * n + list(self.coeffs))
-
     def derivative(self) -> "ExactPoly":
-        r = self.ring
-        return ExactPoly.make(
-            r, [r.mul(c, r.from_int(i)) for i, c in enumerate(self.coeffs)][1:]
-        )
+        return ExactPoly.make(self.ring, [i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def evaluate(self, x):
-        """Horner evaluation at a ring element (or int/Fraction compatible value)."""
-        r = self.ring
-        acc = r.from_int(0)
+        """Horner evaluation at a ring element (or int/Fraction compatible
+        value); over F_p the value is a reduced residue."""
+        p = self.ring.characteristic
+        acc = self.ring.from_int(0)
         for c in reversed(self.coeffs):
-            acc = r.add(r.mul(acc, x), c)
+            acc = acc * x + c
+            if p:
+                acc %= p
         return acc
 
     def divmod_exact(self, other: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
-        """Long division where every leading-coefficient step must stay in the ring."""
+        """Long division where every leading-coefficient step must stay in the ring.
+
+        One quotient coefficient per step; the top term it cancels is dropped
+        without being computed, so F_p remainders may run unreduced until make.
+        """
         r = self.ring
         if other.is_zero():
             raise DomainError("division by zero polynomial")
+        d = other.coeffs
+        dd, dlc = len(d) - 1, d[-1]
         rem = list(self.coeffs)
-        dlc = other.lc()
-        dd = other.degree()
-        qd = len(rem) - len(other.coeffs)
-        if qd < 0:
-            return ExactPoly.make(r, []), self
-        quo = [r.from_int(0)] * (qd + 1)
-        while len(rem) - 1 >= dd and rem:
-            c = r.exact_div(rem[-1], dlc)
-            k = len(rem) - 1 - dd
-            quo[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = r.add(rem[k + i], r.neg(r.mul(c, b)))
-            while rem and r.is_zero(rem[-1]):
-                rem.pop()
-        return ExactPoly.make(r, quo), ExactPoly.make(r, rem)
+        if len(rem) <= dd:
+            return ExactPoly(r, ()), self
+        quo = []
+        for k in range(len(rem) - dd - 1, -1, -1):
+            c = r.exact_div(rem.pop(), dlc)
+            quo.append(c)
+            if c:
+                rem[k : k + dd] = [x - c * y for x, y in zip(rem[k : k + dd], d)]
+        return ExactPoly.make(r, quo[::-1]), ExactPoly.make(r, rem)
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, rem = self.divmod_exact(other)
@@ -411,7 +373,7 @@ class ExactPoly:
         parts = []
         for i in range(self.degree(), -1, -1):
             c = self.coeff(i)
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             term = f"({c})" if not isinstance(c, (int, Fraction)) else str(c)
             if i > 1:

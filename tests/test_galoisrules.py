@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -91,9 +92,26 @@ def test_semistable_rule():
 def test_image_verdict_example3():
     reports = _reports(EX3_LONG)
     full = {ell: image_verdict(reports, ell).full for ell in (2, 3, 5, 7, 11, 13, 23, 41)}
-    assert [ell for ell, ok in full.items() if not ok] == [2, 3, 7]
+    assert [ell for ell, ok in full.items() if not ok] == [2, 3, 7, 23]
     v = image_verdict(reports, 5)
     assert v.chain == "b"
+
+
+def test_chain_b_ignores_inertia_at_p_equal_to_ell():
+    # every curve with j = -17^2 * 101^3 / 2 has a rational 17-isogeny, so its
+    # mod-17 image is Borel; A = 3j(1728 - j), B = 2j(1728 - j)^2, scaled by
+    # u = 2 to clear denominators
+    j = Fraction(-(17**2) * 101**3, 2)
+    A, B = 3 * j * (1728 - j) * 2**4, 2 * j * (1728 - j) ** 2 * 2**6
+    assert A.denominator == B.denominator == 1
+    m, _ = minimize_short(ShortModel(int(A), int(B)))
+    reports = bad_primes(m)
+    # the only Phi-order prime q = 3 coprime to p0(p0 - 1) = 2 comes from
+    # p = 17 (ord_17(Delta) = 4, Phi = 3), which says nothing about E[17]
+    assert {r.p: r.ord_delta for r in reports}[17] == 4
+    v = image_verdict(reports, 17)
+    assert not v.full and v.chain is None
+    assert not image_verdict(reports, 17, chains=("b",)).full
 
 
 def test_chain_c_excludes_ell_dividing_delta_prime():
@@ -115,12 +133,6 @@ def test_image_verdict_chain_monotonicity():
         assert (not only_a) or all_chains
 
 
-def test_mazur_chain_optional():
-    reports = _reports(EX3_LONG)
-    assert not image_verdict(reports, 11, chains=()).full
-    assert image_verdict(reports, 11, chains=(), use_mazur_chain=True).full
-
-
 def test_theorem5_example2():
     rep = theorem5_report(EX2_LONG, scan_bound=100)
     assert rep.exceptional == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 8420798017)
@@ -131,5 +143,5 @@ def test_theorem5_example3():
     rep = theorem5_report(EX3_LONG, scan_bound=100)
     assert rep.exceptional == (2, 3, 5, 7, 13, 23)
     unknown = [v.ell for v in rep.verdicts if not v.full]
-    assert unknown == [2, 3, 7]
+    assert unknown == [2, 3, 7, 23]
     assert rep.model == ShortModel(-5316979, -4724275762)

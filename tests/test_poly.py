@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shascope.errors import DomainError, InvariantViolation
 from shascope.poly import (
@@ -49,10 +51,9 @@ def test_mod_over_qq():
     assert a.mod(m).is_zero()
 
 
-def test_derivative_and_shift():
+def test_derivative():
     a = P(5, 0, 3)
     assert a.derivative().coeffs == (0, 6)
-    assert a.shift(2).coeffs == (0, 0, 5, 0, 3)
 
 
 def test_fp_arithmetic():
@@ -60,6 +61,41 @@ def test_fp_arithmetic():
     a = ExactPoly.from_ints(F7, [6, 1])  # x + 6 = x - 1
     b = ExactPoly.from_ints(F7, [1, 1])
     assert (a * b).coeffs == (6, 0, 1)  # x^2 - 1 mod 7
+
+
+int_lists = st.lists(st.integers(-(10**6), 10**6), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 101]),
+    a=int_lists,
+    b=int_lists,
+    low=st.lists(st.integers(-50, 50), max_size=4),
+    x=st.integers(-(10**4), 10**4),
+)
+def test_fp_results_are_zz_results_mod_p(p, a, b, low, x):
+    F = Fp(p)
+
+    def mod_p(f):
+        return ExactPoly.from_ints(F, f.coeffs)
+
+    za, zb, zd = P(*a), P(*b), P(*low, 1)  # zd is monic over ZZ
+    fa, fb, fd = mod_p(za), mod_p(zb), mod_p(zd)
+    assert fa + fb == mod_p(za + zb)
+    assert fa - fb == mod_p(za - zb)
+    assert fa * fb == mod_p(za * zb)
+    assert fa.derivative() == mod_p(za.derivative())
+    assert fa.evaluate(x) == za.evaluate(x) % p
+    zq, zr = za.divmod_exact(zd)
+    assert zq * zd + zr == za and zr.degree() < zd.degree()
+    fq, fr = fa.divmod_exact(fd)
+    assert (fq, fr) == (mod_p(zq), mod_p(zr))
+    assert fq * fd + fr == fa and fr.degree() < fd.degree()
+    # reduced residues, and no zero (multiple of p) left on top
+    for f in (fa + fb, fa * fb, fa.derivative(), fq, fr):
+        assert all(0 <= c < p for c in f.coeffs)
+        assert f.is_zero() or f.lc() != 0
 
 
 def test_poly_gcd_qq():
@@ -97,7 +133,7 @@ def test_ext_gcd_qq_bezout():
 def test_mpoly_render_and_ops():
     A = MPoly.var(("A", "B"), "A")
     B = MPoly.var(("A", "B"), "B")
-    expr = A * A - B.scale_int(2)
+    expr = A * A - 2 * B
     assert repr(expr) == "A^2 - 2*B"
     one = MPoly.const(("A", "B"), 1)
     assert repr(one) == "1"
@@ -108,4 +144,4 @@ def test_symbolic_poly_multiplication():
     pa = ExactPoly.make(ZAB, [A, ZAB.from_int(1)])  # x + A
     sq = pa * pa
     assert repr(sq.coeff(0)) == "A^2"
-    assert sq.coeff(1) == ZAB.mul(ZAB.from_int(2), A)
+    assert sq.coeff(1) == 2 * A
