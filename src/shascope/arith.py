@@ -31,6 +31,7 @@ from .errors import BudgetError, DomainError
 # Deterministic Miller-Rabin witness set, valid for all n below this threshold.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXTRA_ROUNDS = 16  # random bases above the deterministic bound
 
 _TRIAL_BOUND = 10**6
 _BLOCK = 4096  # block 0 holds every prime up to isqrt(_TRIAL_BOUND)
@@ -56,11 +57,11 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_prime(n: int, *, extra_rounds: int = 16) -> bool:
+def is_prime(n: int) -> bool:
     """Primality of n > 1.
 
     Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that the
-    verdict is probabilistic (error probability < 4**-extra_rounds) and
+    verdict is probabilistic (error probability < 4**-_MR_EXTRA_ROUNDS) and
     is_prime_certified() reports which regime applied.
     """
     if n <= 1:
@@ -76,7 +77,7 @@ def is_prime(n: int, *, extra_rounds: int = 16) -> bool:
     if n < _MR_DETERMINISTIC_BOUND:
         return True
     rng = random.Random(n)
-    for _ in range(extra_rounds):
+    for _ in range(_MR_EXTRA_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _miller_rabin_witness(n, a):
             return False

@@ -40,8 +40,6 @@ def _enc(x):
         return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_enc(v) for v in x]
-    if isinstance(x, float):
-        return repr(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -86,14 +84,14 @@ def _build_parser() -> _Parser:
             p.add_argument(
                 "--curve", required=curve == "required", help="'A,B' or 'a1,a2,a3,a4,a6'"
             )
-        p.add_argument("--effort", type=int, default=50, help="factoring budget")
         for flag, kw in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **kw)
         return p
 
+    effort = dict(type=int, default=50, help="factoring budget")
     cmd("invariants")
     cmd("reduce", p=dict(type=int, required=True))
-    cmd("bad-primes")
+    cmd("bad-primes", effort=effort)
     cmd(
         "divpoly",
         curve="optional",
@@ -102,7 +100,7 @@ def _build_parser() -> _Parser:
     )
     cmd("verify-identities", curve=False, max_n=dict(type=int, default=12))
     cmd("ffgroup", p=dict(type=int, required=True), ell=dict(type=int, default=None))
-    cmd("torsion")
+    cmd("torsion", effort=effort)
     cmd("cor-traces", ell=dict(type=int, required=True), n=dict(type=int, default=1))
     cmd(
         "alpha-trace",
@@ -111,7 +109,7 @@ def _build_parser() -> _Parser:
         step8=dict(action="store_true"),
     )
     cmd("lift", p=dict(type=int, required=True), ell=dict(type=int, required=True))
-    cmd("exceptional", scan_bound=dict(type=int, default=10**4))
+    cmd("exceptional", effort=effort, scan_bound=dict(type=int, default=10**4))
     return top
 
 
@@ -221,7 +219,7 @@ def _run(args) -> None:
 
     elif args.command == "exceptional":
         model = _parse_curve(args.curve)
-        rep = galoisrules.theorem5_report(model, scan_bound=args.scan_bound)
+        rep = galoisrules.theorem5_report(model, scan_bound=args.scan_bound, effort=args.effort)
         _emit(
             {
                 "exceptional_set": list(rep.exceptional),

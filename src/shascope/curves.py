@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Factorization, factorize, legendre, padic_val, sqrt_mod
-from .errors import DomainError, SingularCubicError
+from .arith import Factorization, factorize, legendre, padic_val
+from .errors import SingularCubicError
 
 
 @dataclass(frozen=True)
@@ -175,34 +175,13 @@ def reduction_report(model: ShortModel, p: int) -> ReductionReport:
     if ord_c4 == 0:
         split = "undetermined"
         if p >= 5:
-            # node at the double root x0 of the reduced cubic; tangent slopes
-            # satisfy s^2 = 3*x0 (sum of roots is 0, so the simple root is -2*x0)
-            x0 = _node_x(m, p)
+            # node at the double root x0 of the reduced cubic; the simple root
+            # is -2*x0 (sum of roots is 0), so A = -3*x0^2 and B = 2*x0^3, and
+            # x0 = -3B/(2A) with A a unit (ord c4 = 0); tangent slopes satisfy s^2 = 3*x0
+            x0 = -3 * m.B * pow(2 * m.A, -1, p) % p
             split = "split" if legendre(3 * x0 % p, p) == 1 else "nonsplit"
         return ReductionReport(p, "multiplicative", split, potential, ord_delta, ord_c4, ord_j, caveat)
     return ReductionReport(p, "additive", None, potential, ord_delta, ord_c4, ord_j, caveat)
-
-
-def _node_x(m: ShortModel, p: int) -> int:
-    """The double root mod p of X^3 + AX + B when the reduction has a node."""
-    # double root of the cubic is a common root with its derivative 3X^2 + A
-    A, B = m.A % p, m.B % p
-    for x in _quadratic_roots(3, 0, A, p):
-        if (x * x * x + A * x + B) % p == 0:
-            return x
-    raise DomainError(f"no node found mod {p}")
-
-
-def _quadratic_roots(a: int, b: int, c: int, p: int) -> list[int]:
-    """Roots of a x^2 + b x + c mod odd prime p (a nonzero mod p)."""
-    a, b, c = a % p, b % p, c % p
-    disc = (b * b - 4 * a * c) % p
-    ls = legendre(disc, p)
-    if ls == -1:
-        return []
-    r = sqrt_mod(disc, p)
-    inv2a = pow(2 * a, -1, p)
-    return sorted({(-b + r) * inv2a % p, (-b - r) * inv2a % p})
 
 
 def bad_primes(model: ShortModel, *, effort: int = 50) -> list[ReductionReport]:

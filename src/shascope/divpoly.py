@@ -22,7 +22,7 @@ from __future__ import annotations
 from .errors import BudgetError, DomainError, InvariantViolation
 from .poly import ZAB, ExactPoly, MPolyRing, Ring
 
-DEFAULT_DEGREE_CEILING = 700
+DEGREE_CEILING = 700  # largest deg f_n a DivisionTable builds
 
 
 class DivisionTable:
@@ -32,11 +32,10 @@ class DivisionTable:
     distinct curves is safe, concurrent extension of one table is not.
     """
 
-    def __init__(self, ring: Ring, A, B, *, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+    def __init__(self, ring: Ring, A, B):
         self.ring = ring
         self.A = A
         self.B = B
-        self.degree_ceiling = degree_ceiling
         c = ring.from_int
         self.psi = ExactPoly.make(ring, [B, A, c(0), c(1)])  # X^3+AX+B
         self._psi2 = self.psi * self.psi
@@ -59,12 +58,10 @@ class DivisionTable:
         if n < 0:
             raise DomainError("f_n defined for n >= 0")
         if n not in self._memo:
-            if self.expected_degree(n) > self.degree_ceiling:
-                raise BudgetError(
-                    f"f_{n} degree {self.expected_degree(n)} exceeds ceiling {self.degree_ceiling}"
-                )
-            val = self._step(n)
             expected = self.expected_degree(n)
+            if expected > DEGREE_CEILING:
+                raise BudgetError(f"f_{n} degree {expected} exceeds ceiling {DEGREE_CEILING}")
+            val = self._step(n)
             # in characteristic p the leading coefficient (= n) can vanish,
             # so the degree may drop; over characteristic 0 it is exact
             degree_ok = (
@@ -119,10 +116,10 @@ class ReducedTable(DivisionTable):
         return val.mod(self.modulus)
 
 
-def symbolic_table(*, extra_vars: tuple[str, ...] = (), degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> DivisionTable:
+def symbolic_table(*, extra_vars: tuple[str, ...] = ()) -> DivisionTable:
     """DivisionTable over Z[A,B] (plus optional extra variables)."""
     ring = ZAB if not extra_vars else MPolyRing(("A", "B") + extra_vars)
-    return DivisionTable(ring, ring.var("A"), ring.var("B"), degree_ceiling=degree_ceiling)
+    return DivisionTable(ring, ring.var("A"), ring.var("B"))
 
 
 def check_lemma5(table: DivisionTable, n: int) -> bool:

@@ -15,7 +15,8 @@ class DomainError(ShaScopeError):
 
 
 class BudgetError(ShaScopeError):
-    """Configured effort/ceiling exceeded (factoring budget, point-count ceiling, ...)."""
+    """A budget ran out: the caller's factoring effort, or a fixed one
+    (divpoly.DEGREE_CEILING, ffcurve.ORDER_CEILING, liftkit.MAX_HENSEL_DEPTH)."""
 
 
 class InvariantViolation(ShaScopeError):

@@ -2,7 +2,7 @@
 ell-primary components, supersingularity.
 
 #E(F_p) is counted exactly from one table of squares mod p, once per
-FpCurve, up to a configurable ceiling on p. The group structure and the
+FpCurve, for p up to ORDER_CEILING. The group structure and the
 ell-primary parts are then proven from that count with a few lazily
 enumerated points: a basis per Sylow subgroup, no pass over all the points.
 """
@@ -17,7 +17,7 @@ from .arith import factorize, is_prime, padic_val, sqrt_mod
 from .curves import ShortModel, p_minimize, reduction_report
 from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation
 
-DEFAULT_ORDER_CEILING = 10**6
+ORDER_CEILING = 10**6  # largest p whose O(p) squares table is built
 
 INFINITY = None  # point at infinity sentinel
 
@@ -46,8 +46,14 @@ class FpCurve:
 
     @cached_property
     def _squares(self) -> bytearray:
-        """t[r] = #{y : y^2 = r mod p}: 1 at 0, 2 at the nonzero squares, else 0."""
+        """t[r] = #{y : y^2 = r mod p}: 1 at 0, 2 at the nonzero squares, else 0.
+
+        Every count and every walk over the points reads this table, so the
+        order ceiling is checked here once.
+        """
         p = self.p
+        if p > ORDER_CEILING:
+            raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
         t = bytearray(p)
         t[0] = 1
         for y in range(1, (p + 1) // 2):
@@ -115,15 +121,9 @@ def scalar_mul(curve: FpCurve, k: int, P):
     return R
 
 
-def _within(curve: FpCurve, ceiling: int) -> None:
-    if curve.p > ceiling:
-        raise BudgetError(f"desk-scale ceiling exceeded: p={curve.p} > {ceiling}")
-
-
-def group_order(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> int:
+def group_order(curve: FpCurve) -> int:
     """#E(F_p) = 1 + sum over x of #{y : y^2 = x^3 + Ax + B}, read off one
     table of squares mod p and counted once per FpCurve; Hasse-checked."""
-    _within(curve, ceiling)
     return curve._order
 
 
@@ -140,9 +140,8 @@ def _affine_points(curve: FpCurve):
             yield (x, max(y, p - y))
 
 
-def enumerate_points(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> list:
+def enumerate_points(curve: FpCurve) -> list:
     """All points, infinity first, affine points sorted by (x, y)."""
-    _within(curve, ceiling)
     return [INFINITY, *_affine_points(curve)]
 
 
@@ -234,7 +233,7 @@ class GroupStructure:
     generators: tuple  # one or two points
 
 
-def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> GroupStructure:
+def group_structure(curve: FpCurve) -> GroupStructure:
     """Invariant factors Z/n1 x Z/n2 with generators; n1 | gcd(n2, p-1).
 
     Certificate: N = #E(F_p) is the exact count, factored once. For q^v || N
@@ -247,7 +246,7 @@ def group_structure(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> 
     G/<gen2> = Z/n1 has order n1: for each q | n1, its q-part reduced modulo
     the q-part of gen2 (_off_line) keeps order q^e1.
     """
-    N = group_order(curve, ceiling=ceiling)
+    N = group_order(curve)
     fac = factorize(N)
     bases = {
         q: (v, _sylow_basis(curve, N, q, v)[1][1])
@@ -295,7 +294,7 @@ class EllPrimary:
     points_by_order: dict  # ell^k -> sorted list of points of exact order ell^k
 
 
-def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILING) -> EllPrimary:
+def ell_primary(curve: FpCurve, ell: int) -> EllPrimary:
     """Structure and points of the ell-Sylow subgroup; cyclic whenever p != 1 mod ell.
 
     The subgroup is built from its basis (_sylow_basis): a·R1 + b·R2 has order
@@ -304,7 +303,7 @@ def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILIN
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    N = group_order(curve, ceiling=ceiling)
+    N = group_order(curve)
     v = padic_val(N, ell)
     (R1, e2), (R2, e1) = _sylow_basis(curve, N, ell, v)
     n1, n2 = ell**e1, ell**e2
@@ -328,6 +327,6 @@ def ell_primary(curve: FpCurve, ell: int, *, ceiling: int = DEFAULT_ORDER_CEILIN
     return EllPrimary(ell, ell**v, e1, e2, cyclic, by_order)
 
 
-def is_supersingular(curve: FpCurve, *, ceiling: int = DEFAULT_ORDER_CEILING) -> bool:
+def is_supersingular(curve: FpCurve) -> bool:
     """True iff #E(F_p) = p + 1 (a_p = 0, valid for p >= 5)."""
-    return group_order(curve, ceiling=ceiling) == curve.p + 1
+    return group_order(curve) == curve.p + 1

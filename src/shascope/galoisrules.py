@@ -151,12 +151,10 @@ class Verdict:
     reasons: tuple[str, ...]
 
 
-def image_verdict(
-    reports: list[ReductionReport],
-    ell: int,
-    *,
-    chains: tuple[str, ...] = ("a", "b", "c"),
-) -> Verdict:
+CHAINS = ("a", "b", "c")
+
+
+def image_verdict(reports: list[ReductionReport], ell: int, *, chains: tuple[str, ...] = CHAINS) -> Verdict:
     """Attempt to certify that the mod-ell image is all of GL_2(F_ell).
 
     Chains, tried in order:
@@ -254,23 +252,19 @@ class Theorem5Report:
     verdicts: tuple[Verdict, ...]  # per-ell audit for scanned primes
 
 
-def theorem5_report(
-    model,
-    *,
-    scan_bound: int = 10**4,
-    chains: tuple[str, ...] = ("a", "b", "c"),
-) -> Theorem5Report:
+def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theorem5Report:
     """Finite candidate set of primes ell with possibly non-full mod-ell image.
 
     The set is {2, 3, 5, 7, 13} union primes of delta' of the minimized model
     union primes below scan_bound where no rule chain applies. Primes of
     delta' are kept as candidates unconditionally (the local analysis above
-    assumes ell is coprime to the conductor support).
+    assumes ell is coprime to the conductor support). delta' is factored with
+    the given effort (see arith.factorize).
     """
     if isinstance(model, LongModel):
         model = to_short(model)
     minimized, _ = minimize_short(model)
-    reports = bad_primes(minimized)
+    reports = bad_primes(minimized, effort=effort)
     dp_primes = {r.p for r in reports}
 
     # {2,3,5,7,13} and the primes of delta' are kept as candidates even when a
@@ -282,7 +276,7 @@ def theorem5_report(
     smallest_full: int | None = None
     facts = _curve_facts(reports)
     for ell in primes_below(scan_bound):
-        v = _image_verdict(reports, facts, ell, chains)
+        v = _image_verdict(reports, facts, ell, CHAINS)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

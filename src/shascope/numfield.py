@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import factorize, padic_val, rat_val
+from .arith import factorize, is_prime, padic_val, rat_val
 from .curves import ShortModel
 from .divpoly import DivisionTable, ReducedTable, build_phi, quotient_g, symbolic_table
 from .errors import DomainError, InvariantViolation, NotInvertibleError
@@ -108,38 +108,26 @@ def invert_mod(ring: QuotRing, elem: ExactPoly) -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def _int_table(model: ShortModel, **kw) -> DivisionTable:
-    return DivisionTable(ZZ, model.A, model.B, **kw)
-
-
 def cor6_check(model: ShortModel, ell: int, n: int = 1) -> bool:
     """Vanishing of the sub-leading coefficient of g_{ell^n} (zero trace of x_n)."""
-    if ell <= 2:
+    if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
-    table = _int_table(model)
-    g = quotient_g(table, ell, n)
+    g = quotient_g(DivisionTable(ZZ, model.A, model.B), ell, n)
     d = g.degree()
     return g.coeff(d - 1) == 0
 
 
-def cor7_check(model: ShortModel | None, ell: int, lam="symbolic") -> bool:
-    """Coefficient of X^(ell^2-1) in Phi_ell(X, lam) equals -ell^2*lam.
-
-    model=None runs fully symbolically (A, B, lam all indeterminates);
-    lam="symbolic" with a concrete model keeps lam an indeterminate.
-    """
-    if ell <= 2:
+def cor7_check(model: ShortModel | None, ell: int) -> bool:
+    """Coefficient of X^(ell^2-1) in Phi_ell(X, lam) equals -ell^2*lam, with
+    lam an indeterminate; model=None makes A and B indeterminates too."""
+    if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
     if model is None:
         table = symbolic_table(extra_vars=("lam",))
-        lam_el = table.ring.var("lam")
-    elif lam == "symbolic":
+    else:
         ring = MPolyRing(("lam",))
         table = DivisionTable(ring, ring.from_int(model.A), ring.from_int(model.B))
-        lam_el = ring.var("lam")
-    else:
-        table = DivisionTable(QQ, Fraction(model.A), Fraction(model.B))
-        lam_el = Fraction(lam)
+    lam_el = table.ring.var("lam")
     phi = build_phi(table, ell, lam_el)
     return phi.coeff(ell * ell - 1) == -(ell * ell) * lam_el
 
@@ -160,6 +148,8 @@ class AlphaTraceResult:
 def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> int:
     if ell <= 3:
         raise DomainError("ell > 3 required")
+    if not is_prime(ell):
+        raise DomainError(f"ell={ell} is not prime")
     dp = model.delta_prime()
     if dp % ell == 0:
         raise DomainError(f"ell={ell} divides delta'")
@@ -262,7 +252,7 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     are traces in Q[Y, L]/(psi(Y), g_ell(L)), computed via factored power sums.
     """
     dp = _check_alpha_pre(model, ell, 1)
-    table = _int_table(model)
+    table = DivisionTable(ZZ, model.A, model.B)
     psi_q = ExactPoly.from_ints(QQ, [model.B, model.A, 0, 1])
     K = QuotRing(psi_q)  # Q[Y]/(psi); a product of fields since psi squarefree
 
@@ -315,29 +305,20 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
 
 INF = float("inf")
 
-DEFAULT_ISOLATION_DEGREE_CEILING = 120
 
-
-def bound_constants(
-    model: ShortModel,
-    ell: int,
-    q,
-    *,
-    isolation_degree_ceiling: int = DEFAULT_ISOLATION_DEGREE_CEILING,
-):
+def bound_constants(model: ShortModel, ell: int, q):
     """Per-place constants bounding the normalized alpha trace.
 
     finite q != ell: |(ell-1)^-2 (ell+1)^-1|_q, an exact rational.
     q == ell: max over n in {1,2} of |S_n|_ell.
-    q == inf (float('inf') or "inf"): |delta'| * ell^3 * max(2, 1/delta^3)
-    with delta the minimal distance, at 200-bit precision, from roots of
-    g_{ell^n} inside |x| < sqrt(2(|A|+|B|)) to roots of psi; level n=2 is
-    included only when deg g_{ell^2} <= isolation_degree_ceiling, otherwise
-    the value is a lower-bound candidate based on n=1 alone.
+    q == INF: |delta'| * ell^3 * max(2, 1/delta^3) with delta the minimal
+    distance from the roots of g_ell inside |x| < sqrt(2(|A|+|B|)) to the
+    roots of psi. It uses g_ell (level n = 1) only, and it is an uncertified
+    estimate: the roots come from mpmath.polyroots at 200 bits.
     """
     dp = _check_alpha_pre(model, ell, 1)
-    if q == INF or q == "inf":
-        return _bound_infinity(model, ell, dp, isolation_degree_ceiling)
+    if q == INF:
+        return _bound_infinity(model, ell, dp)
     if q == ell:
         vals = []
         for n in (1, 2):
@@ -348,25 +329,14 @@ def bound_constants(
     return Fraction(q) ** e
 
 
-def _bound_infinity(model: ShortModel, ell: int, dp: int, degree_ceiling: int):
+def _bound_infinity(model: ShortModel, ell: int, dp: int):
     import mpmath as mp
 
-    table = _int_table(model)
+    g = DivisionTable(ZZ, model.A, model.B).f(ell)
     with mp.workprec(200):
         psi_roots = mp.polyroots([mp.mpf(1), 0, mp.mpf(model.A), mp.mpf(model.B)])
         radius = mp.sqrt(2 * (abs(model.A) + abs(model.B)))
-        delta = None
-        for n in (1, 2):
-            if n == 2 and (ell**4 - ell**2) // 2 > degree_ceiling:
-                break
-            g = quotient_g(table, ell, n)
-            coeffs = [mp.mpf(c) for c in reversed(g.coeffs)]
-            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
-            for x in roots:
-                if abs(x) >= radius:
-                    continue
-                d = min(abs(x - e) for e in psi_roots)
-                if delta is None or d < delta:
-                    delta = d
-        factor = mp.mpf(2) if delta is None else max(mp.mpf(2), 1 / delta**3)
+        roots = mp.polyroots([mp.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=200)
+        dists = [min(abs(x - e) for e in psi_roots) for x in roots if abs(x) < radius]
+        factor = max(mp.mpf(2), 1 / min(dists) ** 3) if dists else mp.mpf(2)
         return abs(dp) * mp.mpf(ell) ** 3 * factor

@@ -144,7 +144,7 @@ def _half_square_divisor(fac):
     return Factorization(1, tuple((p, e // 2) for p, e in fac.factors if e >= 2))
 
 
-def torsion_injection_check(model: ShortModel, p: int, m: int, *, effort: int = 50) -> bool:
+def torsion_injection_check(model: ShortModel, p: int, m: int) -> bool:
     """Injectivity (with order preservation) of E[m](Q) -> E~(F_p) for good p >= 5."""
     if p < 5:
         raise DomainError("requires p >= 5")
@@ -152,7 +152,7 @@ def torsion_injection_check(model: ShortModel, p: int, m: int, *, effort: int = 
         raise DomainError("m must be coprime to p")
     minimized, _ = minimize_short(model)
     curve = reduce_curve(minimized, p)  # raises BadReductionError on bad p
-    tor = rational_torsion(model, effort=effort)
+    tor = rational_torsion(model)
     N = fp_group_order(curve)
     images = {INFINITY}
     for (x, y) in tor.points:

@@ -176,18 +176,49 @@ def test_effort_flag_accepted(capsys):
     code, out, _ = run_cli(capsys, "bad-primes", "--curve", "1,1", "--effort", "5")
     assert code == 0
     assert json.loads(out)["delta_prime_factors"] == {"31": 1}
+    for command in ("torsion", "exceptional"):
+        assert run_cli(capsys, command, "--curve", "1,1", "--effort", "5")[0] == 0
 
 
 def test_factoring_budget_names_the_rho_cofactor(capsys):
     # delta' = 761 * 2094413 * 14374475867: trial division removes 761 and
     # hands rho the cofactor 2094413 * 14374475867, which effort 0 cannot split
-    code, out, err = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405", "--effort", "0")
-    assert code == 3
-    assert out == ""
-    assert "unfactored cofactor 30106089124031071" in err
+    for command in (("bad-primes",), ("exceptional", "--scan-bound", "50")):
+        code, out, err = run_cli(capsys, *command, "--curve", "-806071,962360405", "--effort", "0")
+        assert code == 3
+        assert out == ""
+        assert "unfactored cofactor 30106089124031071" in err
     code, out, _ = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405")
     assert code == 0
     assert json.loads(out)["delta_prime_factors"] == {"761": 1, "2094413": 1, "14374475867": 1}
+
+
+def test_effort_rejected_where_nothing_is_factored(capsys):
+    for argv in (
+        ("invariants", "--curve", "1,1"),
+        ("reduce", "--p", "7", "--curve", "1,1"),
+        ("divpoly", "--n", "3", "--curve", "1,1"),
+        ("verify-identities", "--max-n", "3"),
+        ("ffgroup", "--p", "7", "--curve", "1,1"),
+        ("cor-traces", "--ell", "5", "--curve", "1,1"),
+        ("alpha-trace", "--ell", "5", "--curve", "1,1"),
+        ("lift", "--p", "7", "--ell", "5", "--curve", "1,1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--effort", "5")
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments: --effort=5" in err
+
+
+def test_non_prime_ell_exit_2(capsys):
+    for argv in (
+        ("alpha-trace", "--ell", "9"),
+        ("alpha-trace", "--ell", "4"),
+        ("cor-traces", "--ell", "9"),
+        ("cor-traces", "--ell", "4"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--curve", "1,1")
+        assert (code, out) == (2, "")
+        assert "prime" in err
 
 
 def test_alpha_trace_stdout_pinned(capsys):

@@ -89,25 +89,33 @@ def test_reduction_small_prime_caveat():
 
 
 def test_split_multiplicative_classification():
-    # split vs nonsplit agrees with point counts: split -> p + 1 - 1? Use
-    # the trace sign: #E_ns(F_p) computed by brute force on the nodal cubic.
-    m = ShortModel(1, 1)  # delta' = 31
-    r = reduction_report(m, 31)
-    # count smooth points of the reduced singular cubic over F_31
-    p = 31
-    count = 1  # infinity
-    sing = None
-    for x in range(p):
-        for y in range(p):
-            if (y * y - (x**3 + x + 1)) % p == 0:
-                # singular point has 3x^2+1 = 0 = 2y
-                if (3 * x * x + 1) % p == 0 and (2 * y) % p == 0:
-                    sing = (x, y)
-                else:
-                    count += 1
-    assert sing is not None
-    # split: smooth part has p - 1 points; nonsplit: p + 1
-    assert count == (p - 1 if r.split == "split" else p + 1)
+    # the smooth points of a nodal cubic over F_p, infinity included, number
+    # p - 1 when the node is split and p + 1 when it is nonsplit
+    seen = {"split": 0, "nonsplit": 0}
+    for A in range(-6, 7):
+        for B in range(-6, 7):
+            m = ShortModel(A, B)
+            if m.delta_prime() == 0:
+                continue
+            for p in sympy.primefactors(m.delta_prime()):
+                if not 5 <= p < 200:
+                    continue
+                r = reduction_report(m, p)
+                if r.kind != "multiplicative":
+                    continue
+                count, sing = 1, []
+                for x in range(p):
+                    for y in range(p):
+                        if (y * y - (x**3 + A * x + B)) % p == 0:
+                            # the node has 3x^2 + A = 0 = 2y
+                            if (3 * x * x + A) % p == 0 and y == 0:
+                                sing.append((x, y))
+                            else:
+                                count += 1
+                assert len(sing) == 1
+                assert count == (p - 1 if r.split == "split" else p + 1), (A, B, p)
+                seen[r.split] += 1
+    assert seen["split"] >= 5 and seen["nonsplit"] >= 5
 
 
 def test_bad_primes_semistable_fixture():

@@ -83,10 +83,16 @@ def test_lemma5_symbolic_small():
         assert check_lemma5(t, n)
 
 
-def test_degree_ceiling_budget():
-    t = DivisionTable(ZZ, 1, 1, degree_ceiling=50)
-    with pytest.raises(BudgetError):
-        t.f(25)
+def test_degree_ceiling_budget(monkeypatch):
+    # deg f_38 = (38^2 - 4)/2 = 720 > 700: refused before any multiplication
+    t = DivisionTable(ZZ, 1, 1)
+    calls = []
+    mul = ExactPoly.__mul__
+    monkeypatch.setattr(ExactPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    with pytest.raises(BudgetError, match="f_38 degree 720 exceeds ceiling 700"):
+        t.f(38)
+    assert calls == []
+    assert t.f(37).degree() == 684  # (37^2 - 1)/2 is within the ceiling
 
 
 def test_quotient_g_exactness_and_degree():

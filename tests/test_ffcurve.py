@@ -2,7 +2,7 @@ import pytest
 
 from shascope.arith import is_prime, padic_val
 from shascope.curves import ShortModel
-from shascope.errors import BadReductionError, DomainError
+from shascope.errors import BadReductionError, BudgetError, DomainError
 from shascope.ffcurve import (
     INFINITY,
     FpCurve,
@@ -102,6 +102,20 @@ def test_bad_reduction_raises():
 def test_small_p_rejected():
     with pytest.raises(DomainError):
         FpCurve(3, 1, 1)
+
+
+def test_order_ceiling_stops_every_count_and_walk():
+    curve = FpCurve(1000003, 1, 1)
+    calls = [
+        group_order,
+        enumerate_points,
+        is_supersingular,
+        group_structure,
+        lambda c: ell_primary(c, 3),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetError, match="ceiling exceeded: p=1000003 > 1000000"):
+            call(curve)
 
 
 def test_supersingular_known_case():

@@ -72,7 +72,6 @@ def test_cor7_symbolic_and_concrete():
     assert cor7_check(None, 3)
     assert cor7_check(None, 5)
     assert cor7_check(CURVE_A, 5)
-    assert cor7_check(CURVE_A, 5, lam=Fraction(7, 2))
 
 
 def test_alpha_trace_direct_is_zero_and_matches_numeric():
