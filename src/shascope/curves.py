@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import Factorization, factorize, legendre, padic_val
-from .errors import SingularCubicError
+from .errors import DomainError, SingularCubicError
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,8 @@ def minimize_short(model: ShortModel) -> tuple[ShortModel, int]:
 
 def p_minimize(model: ShortModel, p: int) -> ShortModel:
     """Rescale by u = p while p^4 | A and p^6 | B."""
+    if p < 2:
+        raise DomainError(f"{p} is not prime")
     A, B = model.A, model.B
     while (A == 0 or A % p**4 == 0) and (B == 0 or B % p**6 == 0):
         if A == 0 and B == 0:

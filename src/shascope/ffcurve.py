@@ -145,13 +145,13 @@ def enumerate_points(curve: FpCurve) -> list:
     return [INFINITY, *_affine_points(curve)]
 
 
-def point_order(curve: FpCurve, P, *, group_order_hint: int | None = None) -> int:
+def point_order(curve: FpCurve, P) -> int:
     """Order of P via the factored group order."""
     if P is INFINITY:
         return 1
     if not curve.on_curve(P):
         raise DomainError(f"{P} not on curve")
-    N = group_order_hint if group_order_hint is not None else group_order(curve)
+    N = group_order(curve)
     if scalar_mul(curve, N, P) is not INFINITY:
         raise InvariantViolation("point order does not divide group order")
     n = N
@@ -230,58 +230,30 @@ class GroupStructure:
     order: int
     n1: int  # invariant factors n1 | n2, n1*n2 = order (n1 = 1 means cyclic)
     n2: int
-    generators: tuple  # one or two points
+    generators: tuple  # (gen2,) of order n2 when cyclic, else (gen2, gen1): a basis
 
 
 def group_structure(curve: FpCurve) -> GroupStructure:
-    """Invariant factors Z/n1 x Z/n2 with generators; n1 | gcd(n2, p-1).
+    """Invariant factors Z/n1 x Z/n2 with a basis; n1 | gcd(n2, p-1).
 
     Certificate: N = #E(F_p) is the exact count, factored once. For q^v || N
-    the q-Sylow subgroup is Z/q^e1 x Z/q^(v-e1). It is cyclic (e1 = 0) when
-    v = 1, or when q does not divide p - 1: a non-cyclic q-part contains E[q],
-    and the Weil pairing puts E[q] in E(F_p) only if q | p - 1. Every other q
-    gets e1 from a basis of its Sylow subgroup (_sylow_basis), and
-    n1 = prod q^e1. gen2 is the first point in enumeration order of exact
-    order n2. The second generator is the first point whose image in
-    G/<gen2> = Z/n1 has order n1: for each q | n1, its q-part reduced modulo
-    the q-part of gen2 (_off_line) keeps order q^e1.
+    the q-Sylow subgroup has a basis (R1, R2) of orders q^k1 >= q^k2 with
+    k1 + k2 = v (_sylow_basis). gen2 is the sum of the R1 and gen1 the sum of
+    the R2 over all q, so ord(gen1) = n1 = prod q^k2 divides
+    ord(gen2) = n2 = N/n1, and <gen1> + <gen2> is the direct sum of the
+    Sylow subgroups, which is all of E(F_p). The Weil pairing puts E[n1] in
+    E(F_p) only if n1 | p - 1; that is checked, not assumed.
     """
     N = group_order(curve)
-    fac = factorize(N)
-    bases = {
-        q: (v, _sylow_basis(curve, N, q, v)[1][1])
-        for q, v in fac
-        if v > 1 and (curve.p - 1) % q == 0
-    }
+    gen2 = gen1 = INFINITY
     n1 = 1
-    for q, (_, e1) in bases.items():
-        n1 *= q**e1
-    n2 = N // n1  # exact: each e1 <= v
-    if n1 > 1 and (n2 % n1 != 0 or (curve.p - 1) % n1 != 0):
-        raise InvariantViolation("Weil constraint n1 | gcd(n2, p-1) violated")
-    for gen2 in _affine_points(curve):
-        if scalar_mul(curve, n2, gen2) is INFINITY and all(
-            scalar_mul(curve, n2 // q, gen2) is not INFINITY for q in fac.primes()
-        ):
-            break
-    else:
-        raise InvariantViolation(f"no point of order {n2}")
-    if n1 == 1:
-        return GroupStructure(N, 1, n2, (gen2,))
-    parts = []  # per q | n1: N/q^v, then the q-part of gen2, its exponent and line
-    for q, (v, e1) in bases.items():
-        if e1:
-            m = N // q**v
-            G = scalar_mul(curve, m, gen2)
-            k, low = _exponent(curve, G, q, v)
-            parts.append((q, v, e1, m, (G, k, _line(curve, low, q))))
-    for P in _affine_points(curve):
-        if all(
-            _off_line(curve, scalar_mul(curve, m, P), q, v, *top)[1] == e1
-            for q, v, e1, m, top in parts
-        ):
-            return GroupStructure(N, n1, n2, (gen2, P))
-    raise InvariantViolation("no second generator found")
+    for q, v in factorize(N):
+        (R1, _), (R2, k2) = _sylow_basis(curve, N, q, v)
+        gen2, gen1 = add(curve, gen2, R1), add(curve, gen1, R2)
+        n1 *= q**k2
+    if (curve.p - 1) % n1:
+        raise InvariantViolation(f"Weil constraint n1 | p-1 violated: n1 = {n1}")
+    return GroupStructure(N, n1, N // n1, (gen2,) if n1 == 1 else (gen2, gen1))
 
 
 @dataclass(frozen=True)

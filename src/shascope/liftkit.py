@@ -105,7 +105,7 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     _check_precondition(model, p, ell)
     curve = reduce_curve(model, p)  # raises on bad reduction
     N = group_order(curve)  # kept on `curve`, so ell_primary below does not recount
-    n = padic_val(N, ell) if N % ell == 0 else 0
+    n = padic_val(N, ell)
     m = N // ell**n
 
     # Bezout pair with a in [1, ell)
@@ -124,7 +124,7 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
             "is not cyclic, so it has no generator to lift"
         )
     gen = min(prim.points_by_order[ell**n])
-    if point_order(curve, gen, group_order_hint=N) != ell**n:
+    if point_order(curve, gen) != ell**n:
         raise InvariantViolation(f"generator {gen} does not have order {ell}^{n}")
 
     x_bar, y_bar = gen

@@ -12,12 +12,7 @@ from math import gcd, isqrt
 from .arith import Factorization, divisors, factorize
 from .curves import ShortModel, minimize_short
 from .errors import DomainError, InvariantViolation
-from .ffcurve import (
-    INFINITY,
-    group_order as fp_group_order,
-    point_order as fp_point_order,
-    reduce_curve,
-)
+from .ffcurve import INFINITY, point_order as fp_point_order, reduce_curve
 
 MAZUR_ORDER_BOUND = 16
 
@@ -153,7 +148,6 @@ def torsion_injection_check(model: ShortModel, p: int, m: int) -> bool:
     minimized, _ = minimize_short(model)
     curve = reduce_curve(minimized, p)  # raises BadReductionError on bad p
     tor = rational_torsion(model)
-    N = fp_group_order(curve)
     images = {INFINITY}
     for (x, y) in tor.points:
         P = (Fraction(x), Fraction(y))
@@ -163,7 +157,7 @@ def torsion_injection_check(model: ShortModel, p: int, m: int) -> bool:
         img = (x % p, y % p)
         if img in images:
             return False
-        if fp_point_order(curve, img, group_order_hint=N) != o:
+        if fp_point_order(curve, img) != o:
             return False
         images.add(img)
     return True

@@ -90,6 +90,12 @@ def test_ffgroup_work_is_far_below_one_addition_per_point(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, command, "--p", "100003", "--ell", "3", "--curve", "1,1")
         assert code == 0 and out
     assert 0 < len(calls) < 1000
+    # a non-cyclic group at the order ceiling: the generators are sums of Sylow
+    # bases, with no walk of their own
+    calls.clear()
+    code, out, _ = run_cli(capsys, "ffgroup", "--p", "999983", "--ell", "3", "--curve", "-1,0")
+    assert code == 0 and json.loads(out)["structure"][0] == 2
+    assert 0 < len(calls) < 2000
 
 
 def test_ffgroup_and_lift_at_the_ceiling(capsys, monkeypatch):
@@ -129,6 +135,18 @@ def test_domain_error_exit_2(capsys):
 def test_non_integer_curve_exit_2(capsys):
     code, _, _ = run_cli(capsys, "invariants", "--curve", "1.5,2")
     assert code == 2
+
+
+def test_reduce_rejects_p_below_2():
+    # run in a subprocess with a timeout, so that a loop in p_minimize fails the test
+    for p in ("1", "0"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shascope.cli", "reduce", "--p", p, "--curve", "1,1"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"sha-scope: {p} is not prime\n")
 
 
 def test_usage_error_exit_64(capsys):

@@ -136,7 +136,7 @@ def test_ell_primary_matches_point_order_oracle():
                 prim = ell_primary(c, ell)
                 want = {}
                 for P in enumerate_points(c)[1:]:
-                    o = point_order(c, P, group_order_hint=st.order)
+                    o = point_order(c, P)
                     if o > 1 and ell ** (o.bit_length()) % o == 0:  # o is a power of ell
                         want.setdefault(o, []).append(P)
                 assert prim.points_by_order == want, (A, B, p, ell)
@@ -154,28 +154,33 @@ def test_ell_primary_matches_point_order_oracle():
 def _brute_orders(c):
     """Every point, in enumeration order, with its order."""
     pts = enumerate_points(c)
-    return pts, [point_order(c, P, group_order_hint=len(pts)) for P in pts]
+    return pts, [point_order(c, P) for P in pts]
 
 
-def _oracle_structure(c, brute=None):
-    """Brute force: the exponent n2 is the largest point order, the first
-    point reaching it generates, and the second generator is the first point
-    whose image in G/<gen2> has order n1 = N/n2 and whose order n1 divides."""
+def _assert_structure_oracle(c, st, brute=None):
+    """Brute force: N is the number of points, the exponent n2 is the largest
+    point order and n1 = N/n2. The generators must be a basis: gen2 of order
+    n2 and, when n1 > 1, gen1 of order n1 with no nonzero multiple in <gen2>."""
     pts, orders = brute or _brute_orders(c)
-    N = len(pts)
-    n2 = max(orders)
-    gen2 = pts[orders.index(n2)]
+    N, n2 = len(pts), max(orders)
     n1 = N // n2
+    assert (st.order, st.n1, st.n2) == (N, n1, n2), c
+    order = dict(zip(pts, orders))
+    gen2, *rest = st.generators
+    assert order[gen2] == n2, c
     if n1 == 1:
-        return N, 1, n2, (gen2,)
-    sub = {scalar_mul(c, k, gen2) for k in range(n2)}
-    for P, o in zip(pts, orders):
-        if P in sub:
-            continue
-        j = next(j for j in range(2, N + 1) if scalar_mul(c, j, P) in sub)
-        if j == n1 and o % n1 == 0:
-            return N, n1, n2, (gen2, P)
-    raise AssertionError("oracle found no second generator")
+        assert rest == [], c
+        return
+    (gen1,) = rest
+    assert order[gen1] == n1, c
+    sub, T = set(), INFINITY
+    for _ in range(n2):
+        sub.add(T)
+        T = add(c, T, gen2)
+    T = gen1
+    for _ in range(1, n1):
+        assert T not in sub, c
+        T = add(c, T, gen1)
 
 
 def test_group_structure_matches_brute_force_oracle():
@@ -186,7 +191,7 @@ def test_group_structure_matches_brute_force_oracle():
                 continue
             c = FpCurve(p, A % p, B % p)
             st = group_structure(c)
-            assert (st.order, st.n1, st.n2, st.generators) == _oracle_structure(c), (A, B, p)
+            _assert_structure_oracle(c, st)
             non_cyclic += st.n1 > 1
     assert non_cyclic > 0  # the sweep reaches Z/n1 x Z/n2 with n1 > 1
 
@@ -199,7 +204,7 @@ def test_certificate_matches_brute_force_at_mid_p():
         brute = _brute_orders(c)
         st = group_structure(c)
         assert st.n1 > 1
-        assert (st.order, st.n1, st.n2, st.generators) == _oracle_structure(c, brute), (A, B, p)
+        _assert_structure_oracle(c, st, brute)
         for ell in (2, 3):
             want = {}
             for P, o in zip(*brute):
