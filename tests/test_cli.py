@@ -283,3 +283,55 @@ def test_poly_engine_stdout_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr) at a terminal width of 80
+USAGE_AND_HELP_PINS = [
+    (("--help",), 0,
+     "c48a2620aaca7f76c1288c4fed1dbd0c1fcaeb215c8576e800d9b307337adbed", EMPTY),
+    (("invariants", "--help"), 0,
+     "f417ac9fbff827d200b687b75e9ac86109a8f9c921246a2d570c1b32b6983eb6", EMPTY),
+    (("reduce", "--help"), 0,
+     "674278a481b8bbbf3e25e4cd59077afd6f8568466ac606aba41f5d00b0cac2e7", EMPTY),
+    (("bad-primes", "--help"), 0,
+     "c76bc35a86d2397e2d06c703353c34f546709d784b929d32a1eb68b2ace29039", EMPTY),
+    (("divpoly", "--help"), 0,
+     "db79fc396248d5c45ce87916dcc2f62847891b1c3d3c86eb9cecde6aeb991edd", EMPTY),
+    (("verify-identities", "--help"), 0,
+     "a78a5ffbbc17d0730162b3afe850ef11481d38c7486fe922f81029fc1e5e321a", EMPTY),
+    (("ffgroup", "--help"), 0,
+     "6f486a13063e15ef5371bf38b178f98b107211408fbd9a3a05d22cde9b9421fd", EMPTY),
+    (("torsion", "--help"), 0,
+     "6c0c1b546bd05932ab9cb5712a120cafb1b99955d5c59cf4cd2f353ddd3e7311", EMPTY),
+    (("cor-traces", "--help"), 0,
+     "77236c1f146441bb17ecc68702d99893192ae53109f722bc7bb18504c3ef5925", EMPTY),
+    (("alpha-trace", "--help"), 0,
+     "2e7193b237506e6c878012a38a22ad553c54636a986f526db8e98970c2d4247c", EMPTY),
+    (("lift", "--help"), 0,
+     "00900598a69d7163d7efdaa483e54dc6e42f9d3fbb0f2e086e52f95ba25c31e1", EMPTY),
+    (("exceptional", "--help"), 0,
+     "c5d2b52518a2d8ab648cb6f1186c9aa3ef268ce2024e326188e04ef903785b39", EMPTY),
+    ((), 64,
+     EMPTY, "d4265d00fc24e2235976cd9f20a4c57942a4e88bf0044cfb689094985cdffbcf"),
+    (("invariants",), 64,
+     EMPTY, "d824357ee40eb3a2ac07327eaf9e9c50e8e0f1517cb032fc67f8db5a97169c87"),
+    (("no-such-command",), 64,
+     EMPTY, "8d59cd87a71d0e94c1c8056f46250c296b7e8d7f049cd9a2f060f34b147d33f3"),
+    (("ffgroup", "--effort", "5", "--p", "7", "--curve", "1,1"), 64,
+     EMPTY, "63cae3d4b74e963ec1c08fadc5eabd473820018d26056e87ce043907c7e7d58a"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_digest,err_digest",
+    USAGE_AND_HELP_PINS,
+    ids=[" ".join(argv) or "no-arguments" for argv, *_ in USAGE_AND_HELP_PINS],
+)
+def test_usage_and_help_bytes_pinned(capsys, monkeypatch, argv, code, out_digest, err_digest):
+    # argparse wraps usage and help to the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err = run_cli(capsys, *argv)
+    digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+    assert (got, *digests) == (code, out_digest, err_digest)
