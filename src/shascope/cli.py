@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -74,6 +75,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     top = _Parser(prog="sha-scope", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -252,6 +254,13 @@ def _join_flag_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one sha-scope command; return its exit code.
+
+    The parser is built on the first call and kept for the process, so main
+    may be called repeatedly in one process at the cost of parsing alone.
+    Each call parses into a fresh namespace and writes to the sys.stdout and
+    sys.stderr of that moment.
+    """
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]

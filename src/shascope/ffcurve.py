@@ -49,7 +49,17 @@ class FpCurve:
         """t[r] = #{y : y^2 = r mod p}: 1 at 0, 2 at the nonzero squares, else 0.
 
         Every count and every walk over the points reads this table, so the
-        order ceiling is checked here once.
+        order ceiling and the primality of p are checked here once. The table
+        is its own primality certificate: an odd n >= 5 is prime iff, after
+        the loop over 0 < y < n/2, t[0] is still 1 and t holds (n - 1)/2 twos.
+        - n prime: y^2 = 0 has no root 0 < y < n, and y -> y^2 is two-to-one
+          on the nonzero residues with y, n - y sharing a square, so the
+          (n - 1)/2 values of y give distinct squares.
+        - q^2 | n for a prime q (odd, as n is): y = n/q <= n/3 is in the loop
+          and y^2 = n * (n/q^2) = 0, so t[0] becomes 2.
+        - n = p1...pk squarefree with k >= 2: by the Chinese remainder theorem
+          n has prod (pi + 1)/2 squares counting 0, and (pi + 1)/2 <= 2pi/3,
+          so at most 4n/9 - 1 < (n - 1)/2 nonzero ones.
         """
         p = self.p
         if p > ORDER_CEILING:
@@ -58,6 +68,8 @@ class FpCurve:
         t[0] = 1
         for y in range(1, (p + 1) // 2):
             t[y * y % p] = 2
+        if p % 2 == 0 or t[0] != 1 or t.count(2) != (p - 1) // 2:
+            raise DomainError(f"{p} is not prime")
         return t
 
     @cached_property

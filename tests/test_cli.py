@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from shascope import ffcurve
+from shascope import cli, ffcurve
 from shascope.cli import main
 
 EX3_MIN = "-5316979,-4724275762"
@@ -147,6 +148,12 @@ def test_reduce_rejects_p_below_2():
             timeout=30,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"sha-scope: {p} is not prime\n")
+
+
+def test_ffgroup_rejects_a_composite_p(capsys):
+    for p in ("8", "15", "9", "25"):
+        got = run_cli(capsys, "ffgroup", "--p", p, "--curve", "1,1")
+        assert got == (2, "", f"sha-scope: {p} is not prime\n")
 
 
 def test_usage_error_exit_64(capsys):
@@ -335,3 +342,48 @@ def test_usage_and_help_bytes_pinned(capsys, monkeypatch, argv, code, out_digest
     got, out, err = run_cli(capsys, *argv)
     digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
     assert (got, *digests) == (code, out_digest, err_digest)
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli._build_parser.cache_clear()
+    for _ in range(20):
+        assert run_cli(capsys, "invariants", "--curve", "1,1")[0] == 0
+    made = len(calls)
+    calls.clear()
+    cli._build_parser.cache_clear()
+    cli._build_parser()
+    assert 0 < made <= len(calls)
+
+
+def test_no_state_leaks_between_calls(capsys, monkeypatch):
+    # each call in one process gives the bytes of that command run alone
+    monkeypatch.setenv("COLUMNS", "80")
+    flags = ("--p", "7", "--ell", "5", "--curve", EX3_MIN)
+    sequence = [
+        ("ffgroup", *flags),
+        ("ffgroup", "--p", "7"),
+        ("--help",),
+        ("lift", *flags),
+        ("exceptional", "--curve", "1,1", "--scan-bound", "100"),
+        ("ffgroup", *flags),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-m", "shascope.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == alone
+    assert [code for code, _, _ in alone] == [0, 64, 0, 0, 0, 0]

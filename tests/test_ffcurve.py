@@ -118,6 +118,22 @@ def test_order_ceiling_stops_every_count_and_walk():
             call(curve)
 
 
+def test_squares_table_certifies_that_p_is_prime():
+    # is_prime is the oracle; the table's own certificate decides
+    for n in range(5, 2000):
+        if 31 % n == 0:  # 4 + 27 = 31: (1,1) is singular mod 31
+            continue
+        curve = FpCurve(n, 1, 1)
+        if is_prime(n):
+            group_order(curve)  # Hasse-checked
+        else:
+            with pytest.raises(DomainError, match=f"^{n} is not prime$"):
+                group_order(curve)
+    # the ceiling is checked before the table is built
+    with pytest.raises(BudgetError, match="ceiling exceeded: p=1000002 > 1000000"):
+        group_order(FpCurve(1000002, 1, 1))
+
+
 def test_supersingular_known_case():
     # y^2 = x^3 + 1 is supersingular at p = 2 mod 3
     assert is_supersingular(FpCurve(11, 0, 1))

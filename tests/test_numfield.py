@@ -4,9 +4,10 @@ import mpmath as mp
 import pytest
 import sympy
 
+from shascope import numfield
 from shascope.curves import ShortModel
 from shascope.divpoly import DivisionTable, quotient_g
-from shascope.errors import DomainError, NotInvertibleError
+from shascope.errors import DomainError, InvariantViolation, NotInvertibleError
 from shascope.numfield import (
     QuotRing,
     _inverse_root_sum,
@@ -106,6 +107,18 @@ def test_inverse_root_sum_matches_degree_n_oracle():
                 want = trace_in_ring(ring, invert_mod(ring, h))
                 assert want != 0
                 assert _inverse_root_sum(model, ell, n, h) == want, (model, ell, n, h)
+
+
+def test_alpha_trace_bound_check_rejects_a_large_q_part(monkeypatch):
+    # S is 0 on every real curve, so the |S|_q <= bound check is reached only
+    # through a substituted root sum; on (1,1) at ell = 5 the bounds at 2, 3
+    # and 11 are |(ell-1)^-2 (ell+1)^-1|_q = 32, 3 and 1
+    monkeypatch.setattr(numfield, "_inverse_root_sum", lambda *args: Fraction(1, 11))
+    with pytest.raises(InvariantViolation, match=r"\|S\|_11 exceeds"):
+        alpha_trace_direct(CURVE_A, 5, 1)
+    # S = 5^3 * 31 / 12: |S|_2 = 4 <= 32 and |S|_3 = 3 <= 3
+    monkeypatch.setattr(numfield, "_inverse_root_sum", lambda *args: Fraction(1))
+    assert alpha_trace_direct(CURVE_A, 5, 1).S == Fraction(125 * 31, 12)
 
 
 def test_alpha_trace_direct_at_7_2_matches_step8():
