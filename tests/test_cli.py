@@ -292,6 +292,30 @@ def test_poly_engine_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# (argv, exit code, sha256 of stdout) for the exceptional-prime scan
+EXCEPTIONAL_PINS = [
+    (("exceptional", "--curve", EX3_MIN), 0,
+     "562e6c8cc7b3ba8f7f24e2e9161d31731d595fcd6d0e79105298aeabdb33a2cd"),
+    (("exceptional", "--curve", "0,1692602,0,-530052723915,0", "--scan-bound", "1000"), 0,
+     "9d47cee8d2f0b943f3e4cb16e469bc7faf58811c8b4d6e41cbf85c15b0a396bc"),
+    (("exceptional", "--curve", "1,1"), 0,
+     "22c1814e947fb20ca8e0ac77168e1c62cfcd76341b6f08759b1676e391f091f3"),
+    (("exceptional", "--curve", "25,875"), 0,
+     "2a71ac6fc69fa49f78aa1c85b132cd2e43337980a24c4309064b4c9f04934008"),
+    (("exceptional", "--curve", "-66,-106"), 0,
+     "daf96a1ad15de6762ebe5c6d32146ffc8f10578fbb74d149572270bf21596eed"),
+    (("exceptional", "--curve", "1,0"), 0,
+     "0527d313476e70f3c40e2b882c8fcf87a199ba3bcda7ea9b8aeca6522a30f116"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", EXCEPTIONAL_PINS, ids=[argv[2] for argv, *_ in EXCEPTIONAL_PINS])
+def test_exceptional_stdout_pinned(capsys, argv, code, digest):
+    # bytes pinned before the galoisrules chains lost their selection knob
+    got, out, _ = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 # (argv, exit code, sha256 of stdout, sha256 of stderr) at a terminal width of 80
