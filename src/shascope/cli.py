@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import curves, divpoly, ffcurve, galoisrules, liftkit, numfield, torsionq
 from .errors import BudgetError, DomainError, ShaScopeError
-from .poly import ZZ, ExactPoly, MPoly
+from .poly import ZZ, ExactPoly
 
 _JSON_INT_LIMIT = 2**53
 
@@ -33,8 +33,6 @@ def _enc(x):
         return {"num": _enc(x.numerator), "den": _enc(x.denominator)}
     if isinstance(x, ExactPoly):
         return [_enc(c) for c in x.coeffs]
-    if isinstance(x, MPoly):
-        return repr(x)
     if dataclasses.is_dataclass(x):
         return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
@@ -121,7 +119,7 @@ def _render_symbolic(poly: ExactPoly) -> str:
         c = poly.coeff(i)
         if not c:
             continue
-        cs = repr(c) if not isinstance(c, int) else str(c)
+        cs = repr(c)
         if i == 0:
             terms.append(cs)
         elif cs == "1":

@@ -10,9 +10,10 @@ can fail to be full, together with a per-ell audit trail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, isqrt
 
-from .arith import factorize, is_prime, primes_below
+from .arith import is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
 from .errors import DomainError
 
@@ -29,7 +30,9 @@ SMALL_EXCEPTIONAL = tuple(filter(small_exceptional, primes_below(14)))  # (ell-1
 
 
 def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:
-    """Potentially multiplicative primes p0 with ell not dividing ord_{p0}(j)."""
+    """Potentially multiplicative primes p0 with ell not dividing ord_{p0}(j);
+    at each such p0 the local image contains an element of order ell, which
+    rules out image subgroups of order prime to ell."""
     out = []
     for r in reports:
         if r.potential != "potentiallyMultiplicative":
@@ -38,17 +41,6 @@ def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:
         if oj is not None and oj % ell != 0:
             out.append(r.p)
     return out
-
-
-def tate_order_rule(reports: list[ReductionReport], ell: int) -> tuple[bool, int | None]:
-    """Existence of a potentially multiplicative prime p0 with ell not dividing
-    ord_{p0}(j); at such p0 the local image contains an element of order ell,
-    which rules out image subgroups of order prime to ell.
-
-    Returns (holds, first witness prime or None).
-    """
-    w = tate_witnesses(reports, ell)
-    return (True, w[0]) if w else (False, None)
 
 
 def phi_order_candidates(report: ReductionReport) -> tuple[set[int], list[str]]:
@@ -80,19 +72,7 @@ def phi_order_candidates(report: ReductionReport) -> tuple[set[int], list[str]]:
     raise DomainError("p=3 inertia orders are not supported (wild ramification)")
 
 
-def borel_excluded(reports: list[ReductionReport], p0: int) -> tuple[bool, int | None, list[str]]:
-    """Borel (reducible) images excluded at every ell coprime to p0(p0 - 1):
-    a potentially good prime p whose Phi-order candidates share a prime factor
-    q with q not dividing p0(p0 - 1) forces an inertia element incompatible
-    with an eigenbasis. At ell = p, Phi_p says nothing about how inertia acts
-    on E[ell], so a caller deciding one ell drops the report for p = ell.
-
-    Returns (excluded, the shared prime q or None, notes).
-    """
-    return _borel_excluded(_phi_prime_sets(reports), p0)
-
-
-def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[int, list[int], list[str]]]:
+def phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[int, list[int], list[str]]]:
     """Per potentially good prime p with supported Phi-order candidates, in
     report order: p, the primes dividing every candidate (ascending) and the
     notes."""
@@ -104,14 +84,23 @@ def _phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[int, list[int]
             cands, notes = phi_order_candidates(r)
         except DomainError:
             continue
-        common = set.intersection(*(set(factorize(c).primes()) for c in cands))
-        out.append((r.p, sorted(common), notes))
+        # every candidate divides 24 ({12/gcd(v,12)} at p >= 5, a subset of
+        # {2,3,4,6,8,24} at p = 2), so 2 and 3 are the only primes to test
+        out.append((r.p, [q for q in (2, 3) if all(c % q == 0 for c in cands)], notes))
     return out
 
 
-def _borel_excluded(
+def borel_excluded(
     phi_sets: list[tuple[int, list[int], list[str]]], p0: int
 ) -> tuple[bool, int | None, list[str]]:
+    """Borel (reducible) images excluded at every ell coprime to p0(p0 - 1):
+    a potentially good prime p whose Phi-order candidates share a prime factor
+    q with q not dividing p0(p0 - 1) forces an inertia element incompatible
+    with an eigenbasis. At ell = p, Phi_p says nothing about how inertia acts
+    on E[ell], so a caller deciding one ell drops the set for p = ell.
+
+    Returns (excluded, the shared prime q or None, notes).
+    """
     notes: list[str] = []
     for _, common, c_notes in phi_sets:
         notes.extend(c_notes)
@@ -151,10 +140,7 @@ class Verdict:
     reasons: tuple[str, ...]
 
 
-CHAINS = ("a", "b", "c")
-
-
-def image_verdict(reports: list[ReductionReport], ell: int, *, chains: tuple[str, ...] = CHAINS) -> Verdict:
+def image_verdict(reports: list[ReductionReport], ell: int) -> Verdict:
     """Attempt to certify that the mod-ell image is all of GL_2(F_ell).
 
     Chains, tried in order:
@@ -167,29 +153,22 @@ def image_verdict(reports: list[ReductionReport], ell: int, *, chains: tuple[str
     """
     if not is_prime(ell):
         raise DomainError("ell must be prime")
-    return _image_verdict(reports, _curve_facts(reports), ell, chains)
+    return _image_verdict(reports, _curve_facts(reports), ell)
 
 
 def _curve_facts(reports: list[ReductionReport]) -> tuple[list, int, int]:
     """The ell-independent inputs of the chains: the Phi-order prime sets, the
     smallest prime of good reduction and its serre_bound."""
     bad = {r.p for r in reports}
-    p = 2
-    while p in bad:
-        p = _next_prime(p)
-    return _phi_prime_sets(reports), p, serre_bound(p)
+    p = next(q for q in count(2) if q not in bad and is_prime(q))
+    return phi_prime_sets(reports), p, serre_bound(p)
 
 
-def _image_verdict(
-    reports: list[ReductionReport],
-    facts: tuple[list, int, int],
-    ell: int,
-    chains: tuple[str, ...],
-) -> Verdict:
+def _image_verdict(reports: list[ReductionReport], facts: tuple[list, int, int], ell: int) -> Verdict:
     phi_sets, p, sb = facts
     reasons: list[str] = []
 
-    if "a" in chains and semistable_rule(reports, ell):
+    if semistable_rule(reports, ell):
         return Verdict(ell, True, "a", ("all bad primes multiplicative and ell >= 11",))
 
     witnesses = tate_witnesses(reports, ell)
@@ -198,10 +177,10 @@ def _image_verdict(
     if not tate_ok:
         reasons.append("no potentially multiplicative prime with ell coprime to ord(j)")
 
-    if "b" in chains and ell >= 5 and tate_ok:
+    if ell >= 5 and tate_ok:
         away_from_ell = [s for s in phi_sets if s[0] != ell]
         for w in witnesses:
-            excluded, q, notes = _borel_excluded(away_from_ell, w)
+            excluded, q, notes = borel_excluded(away_from_ell, w)
             reasons.extend(notes)
             if excluded:
                 return Verdict(
@@ -218,7 +197,7 @@ def _image_verdict(
                 )
         reasons.append("Borel exclusion inconclusive at every potentially good prime")
 
-    if "c" in chains and tate_ok:
+    if tate_ok:
         if ell > sb and all(r.p != ell for r in reports):
             return Verdict(
                 ell,
@@ -232,16 +211,12 @@ def _image_verdict(
                     ]
                 ),
             )
-        reasons.append(f"ell={ell} not above serre_bound for the smallest good prime")
+        if ell > sb:
+            reasons.append(f"ell={ell} divides delta'")
+        else:
+            reasons.append(f"ell={ell} not above serre_bound for the smallest good prime")
 
     return Verdict(ell, False, None, tuple(reasons or ("no chain applicable",)))
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 @dataclass(frozen=True)
@@ -276,7 +251,7 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     smallest_full: int | None = None
     facts = _curve_facts(reports)
     for ell in primes_below(scan_bound):
-        v = _image_verdict(reports, facts, ell, CHAINS)
+        v = _image_verdict(reports, facts, ell)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

@@ -3,16 +3,18 @@ from math import isqrt
 
 import pytest
 
-from shascope.curves import LongModel, ShortModel, bad_primes, minimize_short, to_short
+from shascope.arith import factorize
+from shascope.curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
 from shascope.errors import DomainError
 from shascope.galoisrules import (
     borel_excluded,
     image_verdict,
     phi_order_candidates,
+    phi_prime_sets,
     semistable_rule,
     serre_bound,
     small_exceptional,
-    tate_order_rule,
+    tate_witnesses,
     theorem5_report,
 )
 
@@ -33,10 +35,8 @@ def test_small_exceptional_set():
 
 def test_tate_order_rule_example3():
     reports = _reports(EX3_LONG)
-    ok, p0 = tate_order_rule(reports, 5)
-    assert ok and p0 == 2  # ord_2(j) = -7, coprime to 5
-    ok, _ = tate_order_rule(reports, 7)
-    assert not ok  # 7 | 7
+    assert tate_witnesses(reports, 5) == [2]  # ord_2(j) = -7, coprime to 5
+    assert tate_witnesses(reports, 7) == []  # 7 | 7
 
 
 def test_phi_order_candidates():
@@ -52,19 +52,32 @@ def test_phi_order_candidates():
 
 def test_borel_excluded_example3():
     reports = _reports(EX3_LONG)
-    excluded, q, _ = borel_excluded(reports, 2)
+    excluded, q, _ = borel_excluded(phi_prime_sets(reports), 2)
     assert excluded and q == 3
 
 
 def test_borel_excluded_needs_q_coprime_to_p0_minus_1():
     # Example 3's only Phi-order primes are 2 and 3 (Phi = 6 at 23); 2 divides
     # every p0(p0 - 1), and 3 does not divide p0(p0 - 1) only for p0 = 2 mod 3
-    reports = _reports(EX3_LONG)
-    got = {p0: borel_excluded(reports, p0)[:2] for p0 in (2, 3, 5, 7, 11, 13, 19)}
+    phi_sets = phi_prime_sets(_reports(EX3_LONG))
+    got = {p0: borel_excluded(phi_sets, p0)[:2] for p0 in (2, 3, 5, 7, 11, 13, 19)}
     assert got == {
         2: (True, 3), 3: (False, None), 5: (True, 3), 7: (False, None),
         11: (True, 3), 13: (False, None), 19: (False, None),
     }
+
+
+def test_phi_prime_sets_against_factorize():
+    # oracle: the primes dividing every Phi-order candidate, by factorization
+    reports = [ReductionReport(5, "additive", None, "potentiallyGood", v, 0, 0) for v in range(1, 24)]
+    reports += [ReductionReport(2, "additive", None, "potentiallyGood", v, 0, 0) for v in range(1, 31)]
+    expected = []
+    for r in reports:
+        cands, notes = phi_order_candidates(r)
+        common = set.intersection(*(set(factorize(c).primes()) for c in cands))
+        expected.append((r.p, sorted(common), notes))
+    assert phi_prime_sets(reports) == expected
+    assert (5, [3], []) in expected  # ord_5(Delta) = 4: Phi = 3
 
 
 def test_serre_bound_exact():
@@ -111,26 +124,25 @@ def test_chain_b_ignores_inertia_at_p_equal_to_ell():
     assert {r.p: r.ord_delta for r in reports}[17] == 4
     v = image_verdict(reports, 17)
     assert not v.full and v.chain is None
-    assert not image_verdict(reports, 17, chains=("b",)).full
 
 
 def test_chain_c_excludes_ell_dividing_delta_prime():
-    # y^2 = x^3 + x + 7: delta' = 1327, prime and multiplicative, so 1327 is
-    # its own Tate witness; 2 is good and serre_bound(2) = 1153 < 1327
-    reports = bad_primes(ShortModel(1, 7))
-    assert [r.p for r in reports] == [1327]
-    assert not image_verdict(reports, 1327, chains=("c",)).full
-    v = image_verdict(reports, 1361, chains=("c",))
+    # y^2 = x^3 + 25x + 875, the twist by 5 of x^3 + x + 7: delta' = 5^6 * 1327.
+    # 5 is additive, so chain a fails; the only Phi-order prime is 2 (ord_5 of
+    # Delta is 6, Phi = 2), which divides every p0(p0 - 1), so chain b fails;
+    # 1327 is multiplicative and its own Tate witness, and 2 is good with
+    # serre_bound(2) = 1153 < 1327, so only the delta' guard keeps 1327 out
+    reports = bad_primes(ShortModel(25, 875))
+    assert [(r.p, r.kind, r.ord_delta) for r in reports] == [(5, "additive", 6), (1327, "multiplicative", 1)]
+    assert phi_prime_sets(reports) == [(5, [2], [])]
+    v = image_verdict(reports, 1327)
+    assert not v.full and v.chain is None
+    assert v.reasons[-1] == "ell=1327 divides delta'"
+    v = image_verdict(reports, 1361)
     assert v.full and v.chain == "c"
-
-
-def test_image_verdict_chain_monotonicity():
-    # disabling chains can only shrink the certified set
-    reports = _reports(EX2_LONG)
-    for ell in (11, 41, 43):
-        all_chains = image_verdict(reports, ell).full
-        only_a = image_verdict(reports, ell, chains=("a",)).full
-        assert (not only_a) or all_chains
+    v = image_verdict(reports, 1151)  # below serre_bound(2), prime, coprime to delta'
+    assert not v.full
+    assert v.reasons[-1] == "ell=1151 not above serre_bound for the smallest good prime"
 
 
 def test_theorem5_example2():

@@ -157,3 +157,19 @@ def test_bound_constants_finite_places():
 def test_bound_constants_infinity():
     v = bound_constants(CURVE_A, 5, float("inf"))
     assert v >= 2 * 31 * 125  # at least |delta'| ell^3 * 2
+
+
+def test_bound_constants_infinity_is_the_inverse_cube_distance():
+    # oracle: delta, the least distance from a root of f_5 with |x| < radius to
+    # a root of x^3 + x + 1, from sympy's 50-digit roots; 1/delta^3 ~ 183.32,
+    # where 1/delta^2 would give ~ 32.3
+    x = sympy.Symbol("x")
+    f5 = sympy.Poly(list(reversed(DivisionTable(ZZ, 1, 1).f(5).coeffs)), x)
+    psi_roots = sympy.Poly(x**3 + x + 1, x).nroots(n=50)
+    radius = sympy.sqrt(2 * (1 + 1))
+    delta = min(
+        min(sympy.Abs(r - e) for e in psi_roots) for r in f5.nroots(n=50) if sympy.Abs(r) < radius
+    )
+    assert 0.176 < delta < 0.177
+    v = bound_constants(CURVE_A, 5, float("inf"))
+    assert abs(sympy.Float(v, 60) / (31 * 125) * delta**3 - 1) < sympy.Float("1e-30")
