@@ -292,6 +292,62 @@ def test_poly_engine_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `divpoly --n k --symbolic` for k = 1..16, then cor-traces at
+# ell 5 and 7 on two curves; pinned from the sparse Z[A,B] implementation
+SYMBOLIC_SWEEP_PINS = [
+    (("divpoly", "--n", "1", "--symbolic"),
+     "887ff8a39863ad8224c222fc024810c3ac1544c70ad5ce29b846dc822a1b7e7c"),
+    (("divpoly", "--n", "2", "--symbolic"),
+     "7ec7703defde464c615747d808452cbecadb2433322af63bc95a5f30e803f003"),
+    (("divpoly", "--n", "3", "--symbolic"),
+     "9f1198b5a13fd5306eaf05d6f140f3a0bfe6d4491596b3ea9b357da51fe1c80d"),
+    (("divpoly", "--n", "4", "--symbolic"),
+     "99ec36641c7e3009d3e12c6db98acd8c2a5439a5161d261b7362baa42449ab3b"),
+    (("divpoly", "--n", "5", "--symbolic"),
+     "c9952bcbca2a7fa8f9ff7dad96b7d8127fb988ec568f0aa454ab24b49562cbcd"),
+    (("divpoly", "--n", "6", "--symbolic"),
+     "552764a2f56ebf2c871c2e70f5a34bf2dfbe62f1da7aa9b2e7c864501c0d6866"),
+    (("divpoly", "--n", "7", "--symbolic"),
+     "e6216fe264218988acb3d7ea38e372eec1bfccc25926b7198b0985b5867d8207"),
+    (("divpoly", "--n", "8", "--symbolic"),
+     "8a025d7da56cd11ed8f5ebf7da2d8e4666c4e86d35c8c9a9d19004f57134d915"),
+    (("divpoly", "--n", "9", "--symbolic"),
+     "e09eb1124a6a72380e623a6dfb1ecb5154349a658968d35e915ee5e0074baefd"),
+    (("divpoly", "--n", "10", "--symbolic"),
+     "8dbad0517c4370a79edb89ec79a8e3fe655d46dafc6750f06f2c56247b9eeb58"),
+    (("divpoly", "--n", "11", "--symbolic"),
+     "f997f20f2974717a8ccbc7869af42ded6931ffbf6d09f0b289da20131bf7adbe"),
+    (("divpoly", "--n", "12", "--symbolic"),
+     "a762a6046fac45e0c0116998f18234062f5245e2f24e9fec5a312c30c30e4f87"),
+    (("divpoly", "--n", "13", "--symbolic"),
+     "e492e28e7d50796422649a8820e19aec8dfc608ff9a1e7f4dc6bb7377bcefdf0"),
+    (("divpoly", "--n", "14", "--symbolic"),
+     "d27b0f27fd943016397293fd22c6d9afda71e8c4e2819624bcc371022b66e4f9"),
+    (("divpoly", "--n", "15", "--symbolic"),
+     "2e178126cbab3952a29533dc438f4ff758a001ffe29f803bbdc47a8d06f23002"),
+    (("divpoly", "--n", "16", "--symbolic"),
+     "c239c8e3795136900abf0b58a9e487e72b102a017c5c8ba216307629159a903f"),
+    (("cor-traces", "--ell", "5", "--curve", "1,1"),
+     "7ea78d1102cab03aa94dd720227ebcfbcdfba6842fafb8e892755787227ae666"),
+    (("cor-traces", "--ell", "7", "--curve", "1,1"),
+     "38a491b25a0555c9796953412a0d1f924032785219d46332182899cb6b8d6bf4"),
+    (("cor-traces", "--ell", "5", "--curve", "-2,3"),
+     "7ea78d1102cab03aa94dd720227ebcfbcdfba6842fafb8e892755787227ae666"),
+    (("cor-traces", "--ell", "7", "--curve", "-2,3"),
+     "38a491b25a0555c9796953412a0d1f924032785219d46332182899cb6b8d6bf4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", SYMBOLIC_SWEEP_PINS, ids=["-".join(argv[:3:2] + argv[4:]) for argv, _ in SYMBOLIC_SWEEP_PINS]
+)
+def test_symbolic_sweep_stdout_pinned(capsys, argv, digest):
+    # verify-identities --max-n 12 is pinned in POLY_ENGINE_PINS above
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # (argv, exit code, sha256 of stdout) for the exceptional-prime scan
 EXCEPTIONAL_PINS = [
     (("exceptional", "--curve", EX3_MIN), 0,
