@@ -20,7 +20,7 @@ nonzero n-torsion (odd n) resp. n-torsion with 2-torsion removed (even n).
 from __future__ import annotations
 
 from .errors import BudgetError, DomainError, InvariantViolation
-from .poly import ZAB, ExactPoly, MPolyRing, Ring
+from .poly import ZAB, ExactPoly, MPoly, Ring
 
 DEGREE_CEILING = 700  # largest deg f_n a DivisionTable builds
 
@@ -116,10 +116,9 @@ class ReducedTable(DivisionTable):
         return val.mod(self.modulus)
 
 
-def symbolic_table(*, extra_vars: tuple[str, ...] = ()) -> DivisionTable:
-    """DivisionTable over Z[A,B] (plus optional extra variables)."""
-    ring = ZAB if not extra_vars else MPolyRing(("A", "B") + extra_vars)
-    return DivisionTable(ring, ring.var("A"), ring.var("B"))
+def symbolic_table() -> DivisionTable:
+    """DivisionTable over Z[A,B]; the X^k coefficient of f_n has weight deg f_n - k."""
+    return DivisionTable(ZAB, MPoly(2, (1,)), MPoly(3, (1,)))
 
 
 def check_lemma5(table: DivisionTable, n: int) -> bool:

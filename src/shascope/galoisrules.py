@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .arith import is_prime, primes_below
-from .curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
+from .curves import LongModel, ReductionReport, delta_prime_factorization, reduction_report, to_short
 from .errors import DomainError
 
 
@@ -238,8 +238,8 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     """
     if isinstance(model, LongModel):
         model = to_short(model)
-    minimized, _ = minimize_short(model)
-    reports = bad_primes(minimized, effort=effort)
+    minimized, fac = delta_prime_factorization(model, effort=effort)
+    reports = [reduction_report(minimized, p) for p in fac.primes()]
     dp_primes = {r.p for r in reports}
 
     # {2,3,5,7,13} and the primes of delta' are kept as candidates even when a

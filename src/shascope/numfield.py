@@ -22,9 +22,9 @@ from math import lcm
 
 from .arith import factorize, is_prime, padic_val, rat_val
 from .curves import ShortModel
-from .divpoly import DivisionTable, ReducedTable, build_phi, quotient_g, symbolic_table
+from .divpoly import DivisionTable, ReducedTable, build_phi, psi_squared, quotient_g, symbolic_table
 from .errors import DomainError, InvariantViolation, NotInvertibleError
-from .poly import QQ, ZZ, ExactPoly, Fp, MPolyRing, ext_gcd_qq, poly_gcd
+from .poly import QQ, ZZ, ExactPoly, Fp, ext_gcd_qq, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +119,17 @@ def cor6_check(model: ShortModel, ell: int, n: int = 1) -> bool:
 
 def cor7_check(model: ShortModel | None, ell: int) -> bool:
     """Coefficient of X^(ell^2-1) in Phi_ell(X, lam) equals -ell^2*lam, with
-    lam an indeterminate; model=None makes A and B indeterminates too."""
+    lam an indeterminate; model=None makes A and B indeterminates too.
+
+    build_phi is linear in lam, Phi_ell = build_phi(t, ell, 0) - lam*(Psi'_ell)^2,
+    so the rule holds iff the first has no X^k term and the second's is ell^2.
+    """
     if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
-    if model is None:
-        table = symbolic_table(extra_vars=("lam",))
-    else:
-        ring = MPolyRing(("lam",))
-        table = DivisionTable(ring, ring.from_int(model.A), ring.from_int(model.B))
-    lam_el = table.ring.var("lam")
-    phi = build_phi(table, ell, lam_el)
-    return phi.coeff(ell * ell - 1) == -(ell * ell) * lam_el
+    table = symbolic_table() if model is None else DivisionTable(ZZ, model.A, model.B)
+    k = ell * ell - 1
+    lead = psi_squared(table, ell).coeff(k)
+    return not build_phi(table, ell, 0).coeff(k) and lead == table.ring.from_int(ell * ell)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ ExactPoly stores coefficients low-degree-first over one of:
   ZZ       -- Python int
   QQ       -- fractions.Fraction
   Fp(p)    -- ints reduced mod p
-  MPolyRing(vars) -- MPoly, sparse multivariate integer polynomials
-                     (used for the symbolic rings Z[A,B] and Z[A,B,lam])
+  ZAB      -- MPoly, weighted-homogeneous elements of Z[A,B] (A weight 2,
+              B weight 3), each one dense int row; the symbolic ring
 
 Coefficients compute with Python's +, - and *, and a coefficient is zero
 when it is falsy. A Ring supplies only constants (from_int) and exact
@@ -20,113 +20,110 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, InvariantViolation
 
 
 # ---------------------------------------------------------------------------
-# multivariate integer polynomials (sparse, exponent-tuple -> int)
+# weighted-homogeneous elements of Z[A,B] (weights A:2, B:3)
 # ---------------------------------------------------------------------------
 
 
+def _mpoly(w, row: tuple) -> "MPoly":
+    """An MPoly from a trimmed row that fits weight w, unchecked."""
+    m = object.__new__(MPoly)
+    m.w, m.row = (w, row) if row else (None, ())
+    return m
+
+
 class MPoly:
-    """Immutable sparse polynomial in named variables with int coefficients."""
+    """Immutable weighted-homogeneous element of Z[A,B], A of weight 2 and B of 3.
 
-    __slots__ = ("vars", "terms")
+    An element of weight w is one dense int row: row[s] is the coefficient of
+    A^i B^j with j = (w mod 2) + 2s and i = (w - 3j)/2. The zero element has
+    weight None and an empty row. + and - take equal weights or a zero operand
+    and raise InvariantViolation otherwise; * adds the weights.
+    """
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], int]):
-        self.vars = vars
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+    __slots__ = ("w", "row")
 
-    @classmethod
-    def const(cls, vars: tuple[str, ...], k: int) -> "MPoly":
-        zero = (0,) * len(vars)
-        return cls(vars, {zero: k} if k else {})
-
-    @classmethod
-    def var(cls, vars: tuple[str, ...], name: str) -> "MPoly":
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return cls(vars, {tuple(e): 1})
+    def __init__(self, w: int, row):
+        row = list(row)
+        while row and not row[-1]:
+            row.pop()
+        if row and (w < 0 or 6 * (len(row) - 1) > w - 3 * (w % 2)):
+            raise DomainError(f"{len(row)} terms do not fit weight {w}")
+        self.w, self.row = (w, tuple(row)) if row else (None, ())
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_const(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * len(self.vars)}
-
-    def const_value(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_const():
-            raise DomainError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return bool(self.row)
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return MPoly(self.vars, t)
+        a, b = self.row, other.row
+        if not b:
+            return self
+        if not a:
+            return other
+        if self.w != other.w:
+            raise InvariantViolation(f"weight {self.w} and weight {other.w} do not add")
+        if len(a) < len(b):
+            a, b = b, a
+        row = [*map(add, a, b), *a[len(b) :]]
+        while row and not row[-1]:
+            row.pop()
+        return _mpoly(self.w, tuple(row))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.w, tuple(-c for c in self.row))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         if isinstance(other, int):
-            return MPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        t: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, 0) + c1 * c2
-        return MPoly(self.vars, t)
+            return _mpoly(self.w, tuple(c * other for c in self.row) if other else ())
+        a, b = self.row, other.row
+        if not a or not b:
+            return _mpoly(None, ())
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(b)
+        out = [a[0] * d for d in b] + [0] * (len(a) - 1)
+        for i, c in enumerate(a[1:], 1):
+            if c:
+                out[i : i + n] = [o + c * d for o, d in zip(out[i : i + n], b)]
+        # two odd weights each contribute one B: the product starts at B^2
+        if self.w & other.w & 1:
+            out.insert(0, 0)
+        return _mpoly(self.w + other.w, tuple(out))
 
     __rmul__ = __mul__
 
-    def exact_div_int(self, k: int) -> "MPoly":
-        t = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, k)
-            if r != 0:
-                raise InvariantViolation(f"coefficient {c} not divisible by {k}")
-            t[e] = q
-        return MPoly(self.vars, t)
+    def _terms(self):
+        """(i, j, c) for each term c*A^i*B^j, in descending powers of A."""
+        for s, c in enumerate(self.row):
+            if c:
+                j = self.w % 2 + 2 * s
+                yield (self.w - 3 * j) // 2, j, c
 
-    def subst(self, values: dict[str, int]):
-        """Specialize variables to integers; returns int if all vars bound, else MPoly."""
-        remaining = tuple(v for v in self.vars if v not in values)
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            coef = c
-            new_e = []
-            for v, exp in zip(self.vars, e):
-                if v in values:
-                    coef *= values[v] ** exp
-                else:
-                    new_e.append(exp)
-            key = tuple(new_e)
-            out[key] = out.get(key, 0) + coef
-        if not remaining:
-            return out.get((), 0)
-        return MPoly(remaining, out)
+    def subst(self, values: dict[str, int]) -> int:
+        """The int value at A = values["A"], B = values["B"]."""
+        a, b = values["A"], values["B"]
+        return sum(c * a**i * b**j for i, j, c in self._terms())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MPoly) and self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, MPoly) and self.w == other.w and self.row == other.row
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.w, self.row))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.row:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mon = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
-            )
+        for i, j, c in self._terms():
+            mon = "*".join(f"{v}^{k}" if k > 1 else v for v, k in (("A", i), ("B", j)) if k)
             if mon:
                 parts.append(f"{c}*{mon}" if abs(c) != 1 else ("-" + mon if c < 0 else mon))
             else:
@@ -203,32 +200,27 @@ class Fp(Ring):
 
 
 class MPolyRing(Ring):
-    def __init__(self, vars: tuple[str, ...]):
-        self.vars = tuple(vars)
-        self.name = "Z[" + ",".join(self.vars) + "]"
+    """Z[A,B] with weighted-homogeneous MPoly elements."""
+
+    name = "Z[A,B]"
 
     def from_int(self, k):
-        return MPoly.const(self.vars, k)
-
-    def var(self, name: str) -> MPoly:
-        return MPoly.var(self.vars, name)
+        return MPoly(0, (k,))
 
     def exact_div(self, a: MPoly, b: MPoly) -> MPoly:
-        if b.is_const():
-            return a.exact_div_int(b.const_value())
-        raise InvariantViolation("exact_div in Z[...] supported only for constant divisors")
-
-    def __eq__(self, other):
-        return isinstance(other, MPolyRing) and other.vars == self.vars
-
-    def __hash__(self):
-        return hash(("MPolyRing", self.vars))
+        if b.w != 0:
+            raise InvariantViolation("exact_div in Z[A,B] supported only for nonzero constant divisors")
+        (k,) = b.row
+        q = [divmod(c, k) for c in a.row]
+        if any(r for _, r in q):
+            raise InvariantViolation(f"coefficients of {a!r} not divisible by {k}")
+        return _mpoly(a.w, tuple(c for c, _ in q))
 
 
 ZZ = _ZZ()
 QQ = _QQ()
 
-ZAB = MPolyRing(("A", "B"))
+ZAB = MPolyRing()
 
 
 # ---------------------------------------------------------------------------

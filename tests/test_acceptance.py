@@ -24,6 +24,7 @@ from shascope.divpoly import (
     DivisionTable,
     build_phi,
     check_lemma5,
+    psi_squared,
     quotient_g,
     symbolic_table,
     torsion_test,
@@ -118,13 +119,15 @@ def test_criterion_4_symbolic_identity_suite():
         assert g.degree() == (ell**4 - ell**2) // 2
         assert g.lc() == sym.ring.from_int(ell)
         assert not g.coeff(g.degree() - 1)
-    # coefficient -lam*m^2 of X^(m^2-1) in Phi_m, m <= 11, symbolically
-    lam_table = symbolic_table(extra_vars=("lam",))
-    lam = lam_table.ring.var("lam")
+    # coefficient -lam*m^2 of X^(m^2-1) in Phi_m, m <= 11, symbolically:
+    # Phi_m = build_phi(sym, m, 0) - lam*(Psi'_m)^2, so Phi_m is monic with that
+    # coefficient iff build_phi(sym, m, 0) is monic with no X^(m^2-1) term and
+    # (Psi'_m)^2 has X^(m^2-1) coefficient m^2
     for m in range(2, 12):
-        phi = build_phi(lam_table, m, lam)
-        assert phi.lc() == lam_table.ring.from_int(1)
-        assert phi.coeff(m * m - 1) == -(m * m) * lam
+        phi0 = build_phi(sym, m, 0)
+        assert phi0.lc() == sym.ring.from_int(1)
+        assert not phi0.coeff(m * m - 1)
+        assert psi_squared(sym, m).coeff(m * m - 1) == sym.ring.from_int(m * m)
     # zero sub-leading coefficient (zero trace) on three desk curves
     desk = (ShortModel(1, 1), ShortModel(-2, 3), ShortModel(0, 1))
     for model in desk:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shascope import cli, ffcurve
+from shascope import cli, curves, ffcurve
 from shascope.cli import main
 
 EX3_MIN = "-5316979,-4724275762"
@@ -371,6 +371,17 @@ def test_exceptional_stdout_pinned(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
+
+
+def test_exceptional_minimizes_the_model_once(capsys, monkeypatch):
+    calls = []
+    minimize = curves.minimize_short
+    for name, module in list(sys.modules.items()):  # every binding site in the package
+        if name.startswith("shascope") and getattr(module, "minimize_short", None) is minimize:
+            monkeypatch.setattr(module, "minimize_short", lambda model: calls.append(model) or minimize(model))
+    code, out, _ = run_cli(capsys, "exceptional", "--curve", EX3_MIN, "--scan-bound", "1000")
+    assert code == 0 and json.loads(out)["minimized"] == [-5316979, -4724275762]
+    assert len(calls) == 1
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 

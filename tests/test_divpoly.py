@@ -10,6 +10,7 @@ from shascope.divpoly import (
     check_lemma5,
     eq46_parts,
     mul_point_formula,
+    psi_squared,
     quotient_g,
     symbolic_table,
     torsion_test,
@@ -117,6 +118,11 @@ def test_build_phi_shape():
         assert phi.degree() == m * m
         assert phi.lc() == 1
         assert phi.coeff(m * m - 1) == -lam * m * m
+    # build_phi is affine in lam, as cor7_check reads it: three values of lam
+    # rule out a hidden lam^2 term
+    for m in range(1, 8):
+        for lam in (-3, 1, 5):
+            assert build_phi(t, m, lam) == build_phi(t, m, 0) - psi_squared(t, m).scale(lam)
 
 
 def test_mul_point_formula_matches_group_law():

@@ -131,17 +131,125 @@ def test_ext_gcd_qq_bezout():
 
 
 def test_mpoly_render_and_ops():
-    A = MPoly.var(("A", "B"), "A")
-    B = MPoly.var(("A", "B"), "B")
-    expr = A * A - 2 * B
-    assert repr(expr) == "A^2 - 2*B"
-    one = MPoly.const(("A", "B"), 1)
+    A = MPoly(2, [1])
+    B = MPoly(3, [1])
+    expr = A * A * A - 2 * B * B
+    assert repr(expr) == "A^3 - 2*B^2"
+    assert repr(-(A * B)) == "-A*B" and repr(3 * B) == "3*B"
+    one = MPoly(0, [1])
     assert repr(one) == "1"
+    # A^2 (weight 4) and B (weight 3) are not one weighted element
+    with pytest.raises(InvariantViolation):
+        A * A - 2 * B
 
 
 def test_symbolic_poly_multiplication():
-    A = ZAB.var("A")
+    A = MPoly(2, [1])
     pa = ExactPoly.make(ZAB, [A, ZAB.from_int(1)])  # x + A
     sq = pa * pa
     assert repr(sq.coeff(0)) == "A^2"
     assert sq.coeff(1) == 2 * A
+
+
+# A sparse reference for MPoly: {(i, j): c} for c*A^i*B^j, multiplied and
+# added term by term, and rendered and evaluated as the exponent-dict ring did.
+
+
+def sparse(w, row):
+    """The terms of a weighted row, by its documented layout."""
+    out = {}
+    for s, c in enumerate(row):
+        j = w % 2 + 2 * s
+        if c:
+            out[(w - 3 * j) // 2, j] = c
+    return out
+
+
+def sparse_add(f, g):
+    t = dict(f)
+    for e, c in g.items():
+        t[e] = t.get(e, 0) + c
+    return {e: c for e, c in t.items() if c}
+
+
+def sparse_mul(f, g):
+    t = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            e = (i1 + i2, j1 + j2)
+            t[e] = t.get(e, 0) + c1 * c2
+    return {e: c for e, c in t.items() if c}
+
+
+def sparse_repr(f):
+    if not f:
+        return "0"
+    parts = []
+    for e, c in sorted(f.items(), reverse=True):
+        mon = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip("AB", e) if k)
+        if mon:
+            parts.append(f"{c}*{mon}" if abs(c) != 1 else ("-" + mon if c < 0 else mon))
+        else:
+            parts.append(str(c))
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def mapped_back(m):
+    return sparse(m.w, m.row) if m else {}
+
+
+@st.composite
+def weighted_rows(draw, weight=st.integers(0, 40)):
+    w = draw(weight)
+    slots = (w - 3 * (w % 2)) // 6 + 1  # j = w%2 + 2s with 3j <= w
+    coeff = st.integers(-(10**30), 10**30) | st.sampled_from([-1, 0, 1])
+    return w, draw(st.lists(coeff, max_size=slots))
+
+
+@settings(max_examples=400, deadline=None)
+@given(weighted_rows(), weighted_rows(), st.integers(-50, 50), st.integers(-50, 50))
+def test_mpoly_product_matches_sparse_reference(x, y, a, b):
+    (w1, r1), (w2, r2) = x, y
+    f, g = MPoly(w1, r1), MPoly(w2, r2)
+    fs, gs = sparse(w1, r1), sparse(w2, r2)
+    assert mapped_back(f * g) == sparse_mul(fs, gs)
+    assert mapped_back(g * f) == sparse_mul(fs, gs)
+    assert mapped_back(f * a) == mapped_back(a * f) == sparse_mul(fs, {(0, 0): a} if a else {})
+    assert repr(f) == sparse_repr(fs)
+    assert repr(f * g) == sparse_repr(sparse_mul(fs, gs))
+    assert f.subst({"A": a, "B": b}) == sum(c * a**i * b**j for (i, j), c in fs.items())
+    if f and g and w1 != w2:
+        with pytest.raises(InvariantViolation):
+            f + g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda w: st.tuples(weighted_rows(st.just(w)), weighted_rows(st.just(w)))))
+def test_mpoly_sum_matches_sparse_reference(pair):
+    (w, r1), (_, r2) = pair
+    f, g = MPoly(w, r1), MPoly(w, r2)
+    fs, gs = sparse(w, r1), sparse(w, r2)
+    assert mapped_back(f + g) == sparse_add(fs, gs)
+    assert mapped_back(f - g) == sparse_add(fs, {e: -c for e, c in gs.items()})
+    assert repr(f - g) == sparse_repr(sparse_add(fs, {e: -c for e, c in gs.items()}))
+    assert (f - f) == ZAB.from_int(0) and not (f - f)
+    assert (f + g == g + f) and hash(f + g) == hash(g + f)
+
+
+def test_mpoly_rejects_rows_that_do_not_fit_the_weight():
+    with pytest.raises(DomainError):
+        MPoly(1, [1])  # no A^i B^j has weight 1
+    with pytest.raises(DomainError):
+        MPoly(6, [1, 2, 3])  # weight 6 holds A^3 and B^2 only
+    assert MPoly(6, [1, 2, 0]) == MPoly(6, [1, 2])
+
+
+def test_zab_exact_div_by_constants_only():
+    f = MPoly(6, [4, -6])
+    assert ZAB.exact_div(f, ZAB.from_int(2)) == MPoly(6, [2, -3])
+    with pytest.raises(InvariantViolation):
+        ZAB.exact_div(f, ZAB.from_int(4))
+    with pytest.raises(InvariantViolation):
+        ZAB.exact_div(f, MPoly(2, [1]))
+    with pytest.raises(InvariantViolation):
+        ZAB.exact_div(f, ZAB.from_int(0))
