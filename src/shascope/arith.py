@@ -264,14 +264,6 @@ def sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All positive divisors of |value|, ascending."""
-    divs = [1]
-    for p, e in f.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _sieve(lo: int, hi: int, base: Iterable[int]) -> list[int]:
     """Primes in [lo, hi) for odd lo >= 3, given every odd prime up to isqrt(hi - 1) in base, ascending."""
     flags = bytearray([1]) * ((hi - lo + 1) // 2)  # flags[i] stands for lo + 2i

@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     )
     cmd("verify-identities", curve=False, max_n=dict(type=int, default=12))
     cmd("ffgroup", p=dict(type=int, required=True), ell=dict(type=int, default=None))
-    cmd("torsion", effort=effort)
+    cmd("torsion")
     cmd("cor-traces", ell=dict(type=int, required=True), n=dict(type=int, default=1))
     cmd(
         "alpha-trace",
@@ -189,7 +189,7 @@ def _run(args) -> None:
 
     elif args.command == "torsion":
         model = _short(_parse_curve(args.curve))
-        _emit(torsionq.rational_torsion(model, effort=args.effort))
+        _emit(torsionq.rational_torsion(model))
 
     elif args.command == "cor-traces":
         model = _short(_parse_curve(args.curve))

@@ -14,7 +14,7 @@ from itertools import count
 from math import gcd, isqrt
 
 from .arith import is_prime, primes_below
-from .curves import LongModel, ReductionReport, delta_prime_factorization, reduction_report, to_short
+from .curves import LongModel, ReductionReport, ShortModel, delta_prime_factorization, reduction_report, to_short
 from .errors import DomainError
 
 

@@ -1,20 +1,31 @@
-"""Rational torsion of y^2 = x^3 + Ax + B via the integral-point sieve:
-torsion points have integer coordinates with y = 0 or y^2 | delta', and the
-group order is at most 16 with one of the 15 admissible structures.
+"""Rational torsion of y^2 = x^3 + Ax + B by reduction mod p and Hensel lifting.
+
+E(Q)_tors injects into E(F_p) at good p >= 3 (Silverman, AEC VII.3.1), so
+its order divides n = gcd #E(F_p) over good p; Mazur bounds it by 16. At a
+good p0 not dividing n, a torsion point P of order k reduces to a point R of
+order k, and psi (k = 2) or f_k (k >= 3) is squarefree mod p0, so x(P) is
+the p0-adic root lifting x(R). By Nagell-Lutz P is integral with y = 0 or
+y^2 | delta', so |x(P)| <= 1 + max(|A|, |B| + |delta'|) (Cauchy), and the
+lift mod p0^e above twice that bound, as a symmetric residue, is x(P).
+Nothing here factors delta'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 
-from .arith import Factorization, divisors, factorize
+from .arith import is_prime
 from .curves import ShortModel, minimize_short
+from .divpoly import DivisionTable
 from .errors import DomainError, InvariantViolation
-from .ffcurve import INFINITY, point_order as fp_point_order, reduce_curve
+from .ffcurve import INFINITY, FpCurve, enumerate_points, group_order, point_order as fp_point_order, reduce_curve
+from .poly import ZZ
 
 MAZUR_ORDER_BOUND = 16
+GOOD_PRIMES = 20  # most good primes whose #E(F_p) enter the gcd
 
 
 @dataclass(frozen=True)
@@ -56,59 +67,44 @@ def _torsion_order(A: int, B: int, P) -> int | None:
     return None
 
 
-def _integer_roots_monic_cubic(A: int, c: int) -> list[int]:
-    """Integer roots of f = X^3 + A*X + c by exact bisection in [-R, R],
-    R = 1 + max(|A|, |c|). For A < 0 the turning points +-sqrt(-A/3) lie in
-    [s, s+1), s = isqrt(-A//3), so f is monotone on the integers of each of
-    [-R, -s-1], [-s, s] and [s+1, R]; for A >= 0 f is increasing."""
-
-    def f(x: int) -> int:
-        return x**3 + A * x + c
-
-    R = 1 + max(abs(A), abs(c))
-    if A < 0:
-        s = isqrt(-A // 3)
-        pieces = [(-R, -s - 1), (-s, s), (s + 1, R)]
-    else:
-        pieces = [(-R, R)]
-    roots = []
-    for lo, hi in pieces:
-        sign = 1 if f(hi) >= f(lo) else -1
-        while lo < hi:  # least x in [lo, hi] with sign * f(x) >= 0
-            mid = (lo + hi) // 2
-            if sign * f(mid) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if f(lo) == 0:
-            roots.append(lo)
-    return roots
-
-
-def rational_torsion(model: ShortModel, *, effort: int = 50) -> TorsionGroup:
-    """Torsion subgroup of the minimized model.
-
-    Candidates: (x, 0) with x an integer root of the cubic, and integer (x, y)
-    with y > 0, y^2 | delta'. Candidates are kept iff some multiple <= 16 hits
-    O; the result is checked to be closed under the group law.
+def rational_torsion(model: ShortModel) -> TorsionGroup:
+    """Torsion subgroup of the minimized model: the integral points over the
+    lifts of x(R), R in E(F_p0) of order k | n with k <= 16, kept iff some
+    multiple <= 16 hits O; the result is checked to be closed under the group
+    law. n runs over GOOD_PRIMES good p >= 5, or stops at n = 1.
     """
     m, _ = minimize_short(model)
     A, B = m.A, m.B
     dp = m.delta_prime()
+    n, good = 0, []
+    for p in filter(is_prime, count(5, 2)):
+        if dp % p:
+            good.append(FpCurve(p, A % p, B % p))
+            n = gcd(n, group_order(good[-1]))
+            if n == 1 or len(good) == GOOD_PRIMES:
+                break
     pts: dict[tuple[int, int], int] = {}
 
-    for x in _integer_roots_monic_cubic(A, B):
-        pts[(x, 0)] = 2
-
-    fac = factorize(dp, effort=effort)
-    y_candidates = divisors(_half_square_divisor(fac))
-    for y in y_candidates:
-        for x in _integer_roots_monic_cubic(A, B - y * y):
-            P = (Fraction(x), Fraction(y))
-            order = _torsion_order(A, B, P)
-            if order is not None:
-                pts[(x, y)] = order
-                pts[(x, -y)] = order
+    if n > 1:
+        curve = next(c for c in good if n % c.p)
+        orders = {R[0]: fp_point_order(curve, R) for R in enumerate_points(curve)[1:]}
+        table = DivisionTable(ZZ, A, B)
+        bound = 2 * (1 + max(abs(A), abs(B) + abs(dp)))  # twice the bound on |x(P)|
+        for x, k in orders.items():
+            if n % k or k > MAZUR_ORDER_BOUND:
+                continue
+            h = table.psi if k == 2 else table.f(k)
+            dh, q = h.derivative(), curve.p
+            while q <= bound:  # Newton's iteration doubles the p-adic precision
+                q *= q
+                x = (x - h.evaluate(x) * pow(dh.evaluate(x), -1, q)) % q
+            x -= q if 2 * x > q else 0
+            y2 = x**3 + A * x + B
+            y = isqrt(max(y2, 0))
+            if h.evaluate(x) == 0 and y * y == y2:
+                order = _torsion_order(A, B, (Fraction(x), Fraction(y)))
+                if order is not None:
+                    pts[(x, y)] = pts[(x, -y)] = order
 
     order = len(pts) + 1
     if order > MAZUR_ORDER_BOUND:
@@ -132,11 +128,6 @@ def rational_torsion(model: ShortModel, *, effort: int = 50) -> TorsionGroup:
             raise InvariantViolation("no generator of the full torsion order found")
         structure = f"Z/{order}Z"
     return TorsionGroup(structure, order, tuple(sorted(pts.keys())))
-
-
-def _half_square_divisor(fac):
-    """Factorization of the largest y with y^2 | value (exponents halved)."""
-    return Factorization(1, tuple((p, e // 2) for p, e in fac.factors if e >= 2))
 
 
 def torsion_injection_check(model: ShortModel, p: int, m: int) -> bool:

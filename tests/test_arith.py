@@ -6,7 +6,6 @@ import sympy
 
 from shascope.arith import (
     Factorization,
-    divisors,
     factorize,
     is_prime,
     is_prime_certified,
@@ -135,11 +134,6 @@ def test_sqrt_mod_every_residue():
             r = sqrt_mod(a, p)
             assert 0 <= r < p and r * r % p == a, (a, p)
             assert sqrt_mod(a - 3 * p, p) == r  # the input is reduced mod p first
-
-
-def test_divisors():
-    fac = factorize(360)
-    assert sorted(divisors(fac)) == sorted(sympy.divisors(360))
 
 
 def test_primes_below():
