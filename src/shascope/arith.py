@@ -2,17 +2,20 @@
 
 Integers are plain Python ints (arbitrary precision); rationals are
 fractions.Fraction (always reduced, positive denominator). Factorization
-removes every prime up to 10**6 by trial division, then splits what is left
-with Brent's cycle variant of Pollard rho under a configurable effort budget.
+divides out the primes below 4096 by trial division, splits what is left
+with Brent's cycle variant of Pollard rho under an effort budget, and sweeps
+the primes in [4096, 10**6) by trial division only from a cofactor that rho
+gave up on.
 
 Trial division works on blocks of _BLOCK consecutive integers. A block is
 sieved the first time a factorization reaches it, and its primes (an
 array('I')) and their product stay in a module-level table of
-input-independent constants. For each block whose lower end is at most
-sqrt(n), one gcd of n with the block's product finds every prime of the block
-that divides n; only when that gcd exceeds 1 are the block's primes walked,
-and the walk stops as soon as the gcd is used up (Bernstein, "How to find
-smooth parts of integers", 2004, batches the same way with product trees).
+input-independent constants; a process that never sweeps builds block 0
+alone. For each block whose lower end is at most sqrt(n), one gcd of n with
+the block's product finds every prime of the block that divides n; only when
+that gcd exceeds 1 are the block's primes walked, and the walk stops as soon
+as the gcd is used up (Bernstein, "How to find smooth parts of integers",
+2004, batches the same way with product trees).
 """
 
 from __future__ import annotations
@@ -150,33 +153,25 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
 def factorize(n: int, *, effort: int = 50) -> Factorization:
     """Full factorization of n != 0.
 
-    effort scales the rho budget; when exhausted a BudgetError names the
-    unfactored cofactor.
+    Trial division removes the primes below 4096. Each cofactor that is
+    neither a prime nor a square then goes to Brent rho: up to 8 tries of
+    effort * 100_000 iterations each, so at effort 0 every try gives up at
+    once. Only a cofactor that rho gave up on is swept for the primes in
+    [4096, 10**6); if the sweep removes nothing, a BudgetError names that
+    cofactor. So every prime below 10**6 is found at any effort >= 0.
+
+    Rho finds a prime p in about sqrt(p) steps, cheaper than the sweep's 244
+    block gcds for p < 10**6. The trade-off: a 10**6-smooth n with several
+    primes in (4096, 10**6) costs more than one sweep up front would, about
+    twice as much with six such primes.
     """
     if n == 0:
         raise DomainError("cannot factor 0")
+    if effort < 0:
+        raise DomainError(f"effort must be >= 0, got {effort}")
     unit = 1 if n > 0 else -1
-    n = abs(n)
     found: dict[int, int] = {}
-
-    # after block k, n has no prime factor below (k+1)*_BLOCK, so once a block
-    # starts above sqrt(n) what is left is 1 or a prime
-    for k, lo in enumerate(range(0, _TRIAL_BOUND + 1, _BLOCK)):
-        if lo * lo > n:
-            break
-        if k == len(_TRIAL_BLOCKS):
-            _add_trial_blocks()
-        primes, product = _TRIAL_BLOCKS[k]
-        g = gcd(n, product)
-        if g > 1:
-            for d in primes:
-                if g % d == 0:
-                    g //= d
-                    while n % d == 0:
-                        found[d] = found.get(d, 0) + 1
-                        n //= d
-                    if g == 1:
-                        break
+    n = _trial_divide(abs(n), found, range(1))
 
     stack = [n] if n > 1 else []
     rng = None
@@ -200,12 +195,43 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
             if f is not None and 1 < f < m:
                 break
             f = None
-        if f is None:
+        if f is not None:
+            stack.extend([f, m // f])
+            continue
+        swept = _trial_divide(m, found, range(1, _TRIAL_BOUND // _BLOCK + 1))
+        if swept == m:
             raise BudgetError(f"incomplete factorization: unfactored cofactor {m}")
-        stack.extend([f, m // f])
+        stack.append(swept)
 
     factors = tuple(sorted(found.items()))
     return Factorization(unit, factors)
+
+
+def _trial_divide(n: int, found: dict[int, int], blocks: range) -> int:
+    """n with the primes of the given trial blocks counted into found and divided out.
+
+    n must be free of the primes below the first block. The walk then stops
+    at the first block that starts above sqrt(n), since what is left is 1 or
+    a prime.
+    """
+    for k in blocks:
+        lo = k * _BLOCK
+        if lo * lo > n:
+            break
+        if k == len(_TRIAL_BLOCKS):
+            _add_trial_blocks()
+        primes, product = _TRIAL_BLOCKS[k]
+        g = gcd(n, product)
+        if g > 1:
+            for d in primes:
+                if g % d == 0:
+                    g //= d
+                    while n % d == 0:
+                        found[d] = found.get(d, 0) + 1
+                        n //= d
+                    if g == 1:
+                        break
+    return n
 
 
 def padic_val(n: int, p: int) -> int:

@@ -162,6 +162,8 @@ def _run(args) -> None:
             _emit({"n": args.n, "coeffs": table.f(args.n)})
 
     elif args.command == "verify-identities":
+        if args.max_n < 0:
+            raise DomainError(f"--max-n must be >= 0, got {args.max_n}")
         table = divpoly.symbolic_table()
         lemma5 = all(divpoly.check_lemma5(table, n) for n in range(1, args.max_n + 1))
         eq46 = divpoly.verify_eq46(table)

@@ -236,6 +236,8 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     assumes ell is coprime to the conductor support). delta' is factored with
     the given effort (see arith.factorize).
     """
+    if scan_bound < 0:
+        raise DomainError(f"scan_bound must be >= 0, got {scan_bound}")
     if isinstance(model, LongModel):
         model = to_short(model)
     minimized, fac = delta_prime_factorization(model, effort=effort)

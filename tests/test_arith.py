@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from shascope import arith
 from shascope.arith import (
     Factorization,
     factorize,
@@ -64,9 +65,10 @@ def _assert_factorization(n, fac):
 
 def test_factorize_trial_stage_vs_sympy():
     # Trial division takes one gcd per 4096-wide block of the primes up to
-    # 10**6. With effort=0 rho cannot split anything, so a case with at most
-    # one prime factor above 10**6 (or the square of one) factors only if the
-    # trial stage removed every other prime.
+    # 10**6: block 0 first, the rest only as a sweep of a cofactor that rho
+    # gave up on. With effort=0 rho gives up on every cofactor, so a case with
+    # at most one prime factor above 10**6 (or the square of one) factors only
+    # if that sweep removed every prime in [4096, 10**6).
     edges = [
         p
         for lo in (4096, 8192, 4096 * 37, 4096 * 122, 4096 * 244)  # 4096 * 244 = 999424
@@ -88,6 +90,41 @@ def test_factorize_trial_stage_vs_sympy():
     for p, q in ((1000000012367, 3000000000793), (999999999989, 1000000000039)):
         for n in (p * q, -4093 * 4099**2 * 999983 * p * q):
             _assert_factorization(n, factorize(n))
+
+
+def test_factorize_rho_first_vs_sympy():
+    # products of primes from (4096, 10**6), which rho or the sweep finds,
+    # times a few small and 10**6-rough tails
+    rng = random.Random(11)
+    mids = list(sympy.primerange(4097, 10**6))
+    pq = 1000003 * 1000033  # 10**6-rough and composite: only rho splits it
+    for _ in range(300):
+        n = math.prod(rng.choice(mids) ** rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        n *= rng.choice([1, 2, 12, 4093, rng.randrange(10**6 + 1, 10**9, 2)])
+        want = sympy.factorint(n)
+        for effort in (0, 1, 50):
+            fac = factorize(n, effort=effort)
+            assert dict(fac.factors) == want and fac.value == n, (n, effort)
+        rough = pq * math.prod(p**e for p, e in want.items() if p > 10**6)
+        with pytest.raises(BudgetError, match=f"unfactored cofactor {rough}$"):
+            factorize(n * pq, effort=0)
+
+
+def test_factorize_sweeps_only_what_rho_gave_up_on(monkeypatch):
+    sweeps = []
+    trial_divide = arith._trial_divide
+
+    def counted(n, found, blocks):
+        if blocks.start > 0:  # block 0 is divided out of every input
+            sweeps.append(n)
+        return trial_divide(n, found, blocks)
+
+    monkeypatch.setattr(arith, "_trial_divide", counted)
+    n = -4093 * 4099**2 * 999983 * 1000000012367 * 3000000000793
+    _assert_factorization(n, factorize(n))
+    assert sweeps == []
+    _assert_factorization(999983 * 1000003, factorize(999983 * 1000003, effort=0))
+    assert sweeps == [999983 * 1000003]
 
 
 def test_factorize_sign_and_unit():

@@ -205,8 +205,8 @@ def test_effort_flag_accepted(capsys):
 
 
 def test_factoring_budget_names_the_rho_cofactor(capsys):
-    # delta' = 761 * 2094413 * 14374475867: trial division removes 761 and
-    # hands rho the cofactor 2094413 * 14374475867, which effort 0 cannot split
+    # delta' = 761 * 2094413 * 14374475867: block 0 removes 761, rho at effort 0
+    # gives up at once on the rest, and the sweep to 10**6 finds nothing in it
     for command in (("bad-primes",), ("exceptional", "--scan-bound", "50")):
         code, out, err = run_cli(capsys, *command, "--curve", "-806071,962360405", "--effort", "0")
         assert code == 3
@@ -215,6 +215,33 @@ def test_factoring_budget_names_the_rho_cofactor(capsys):
     code, out, _ = run_cli(capsys, "bad-primes", "--curve", "-806071,962360405")
     assert code == 0
     assert json.loads(out)["delta_prime_factors"] == {"761": 1, "2094413": 1, "14374475867": 1}
+
+
+def test_negative_effort_exit_2(capsys):
+    # a negative budget is invalid input, not an exhausted budget (exit 3)
+    for command in (("bad-primes",), ("exceptional", "--scan-bound", "50")):
+        for curve, effort in (("1,1", "-3"), ("-806071,962360405", "-1")):
+            got = run_cli(capsys, *command, "--curve", curve, "--effort", effort)
+            assert got == (2, "", f"sha-scope: effort must be >= 0, got {effort}\n")
+
+
+def test_negative_bounds_exit_2(capsys):
+    got = run_cli(capsys, "exceptional", "--curve", "1,1", "--scan-bound", "-5")
+    assert got == (2, "", "sha-scope: scan_bound must be >= 0, got -5\n")
+    got = run_cli(capsys, "verify-identities", "--max-n", "-3")
+    assert got == (2, "", "sha-scope: --max-n must be >= 0, got -3\n")
+    # zero is a valid, empty scan
+    code, out, _ = run_cli(capsys, "exceptional", "--curve", "1,1", "--scan-bound", "0")
+    assert code == 0
+    assert json.loads(out) == {
+        "exceptional_set": [2, 3, 5, 7, 13, 31],
+        "minimized": [1, 1],
+        "scan_bound": 0,
+        "smallest_full": None,
+    }
+    code, out, _ = run_cli(capsys, "verify-identities", "--max-n", "0")
+    assert code == 0
+    assert json.loads(out) == {"cor7": True, "eq46": True, "lemma5": True, "lemma5_max_n": 0}
 
 
 def test_effort_rejected_where_nothing_is_factored(capsys):
