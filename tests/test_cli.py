@@ -283,6 +283,22 @@ def test_alpha_trace_stdout_pinned(capsys):
         assert run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "1", "--curve", curve) == (0, n1, "")
         got = run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "2", "--step8", "--curve", curve)
         assert got == (0, n2, "")
+    # ell in {7, 11, 13} divides neither delta' = -16*31 nor -16*211
+    for (ell, n), digest in ALPHA_TRACE_PINS.items():
+        for curve in ("1,1", "-2,3"):
+            code, out, _ = run_cli(capsys, "alpha-trace", "--ell", str(ell), "--n", str(n), "--curve", curve)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# sha256 of `alpha-trace --ell L --n N` stdout, the same for both curves above
+ALPHA_TRACE_PINS = {
+    (7, 1): "1686ebf9f2672d983d7486cb777e0f07072ff59742ddd59ee2fa5c0526676d7b",
+    (7, 2): "db34a5effb8432fcec2ad4ca2c4778df68950175bec9fd09b0f062083effd5b8",
+    (11, 1): "975a48bc433fdc17ff4973ad7e3164f40ecef7f8e62c9deeaf17985f530eef2a",
+    (11, 2): "32ab6644e7f81d0a6a8ca5ed1a85f4a0767939f14879797e06dc3fff15a728ac",
+    (13, 1): "4c3ecf4a23a0734251db3b9087a5164787437e6f750e9926cf20f7b8fe6be536",
+    (13, 2): "7955a9bf7e781195ec61a83d1640a947ba69a4d96ab9d4c660ca588c9d456930",
+}
 
 
 def test_alpha_trace_at_7_2_needs_no_f_49(capsys):
