@@ -1,7 +1,6 @@
 """Exact integer arithmetic: primality, factorization, p-adic valuations.
 
-Integers are plain Python ints (arbitrary precision); rationals are
-fractions.Fraction (always reduced, positive denominator). Factorization
+Integers are plain Python ints (arbitrary precision). Factorization
 divides out the primes below 4096 by trial division, splits what is left
 with Brent's cycle variant of Pollard rho under an effort budget, and sweeps
 the primes in [4096, 10**6) by trial division only from a cofactor that rho
@@ -25,7 +24,6 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -63,9 +61,9 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality of n > 1.
 
-    Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that the
-    verdict is probabilistic (error probability < 4**-_MR_EXTRA_ROUNDS) and
-    is_prime_certified() reports which regime applied.
+    Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that a
+    True is a probable prime (error probability < 4**-_MR_EXTRA_ROUNDS), with
+    no certificate yet (ROADMAP item 5).
     """
     if n <= 1:
         raise DomainError(f"is_prime requires n > 1, got {n}")
@@ -87,17 +85,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_prime_certified(n: int) -> tuple[bool, bool]:
-    """(is_prime, certified): certified=True iff inside the deterministic range."""
-    return is_prime(n), n < _MR_DETERMINISTIC_BOUND
-
-
 @dataclass(frozen=True)
 class Factorization:
     """unit * prod(p**e) == value; primes strictly increasing, each passing
     is_prime. That proves primality below ~3.3e24 (deterministic Miller-Rabin
-    bases); above it a factor is only a probable prime, and
-    is_prime_certified(p) reports which regime applied."""
+    bases); above it a factor is only a probable prime, whose certificate
+    ROADMAP item 5 tracks."""
 
     unit: int  # +1 or -1
     factors: tuple[tuple[int, int], ...]
@@ -157,8 +150,10 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
     neither a prime nor a square then goes to Brent rho: up to 8 tries of
     effort * 100_000 iterations each, so at effort 0 every try gives up at
     once. Only a cofactor that rho gave up on is swept for the primes in
-    [4096, 10**6); if the sweep removes nothing, a BudgetError names that
-    cofactor. So every prime below 10**6 is found at any effort >= 0.
+    [4096, 10**6), and never one that a sweep left or that was split off
+    such a cofactor: its primes are all above 10**6. A BudgetError names a
+    cofactor that rho gave up on and that is not swept, or that the sweep
+    left unchanged. So every prime below 10**6 is found at any effort >= 0.
 
     Rho finds a prime p in about sqrt(p) steps, cheaper than the sweep's 244
     block gcds for p < 10**6. The trade-off: a 10**6-smooth n with several
@@ -173,11 +168,12 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
     found: dict[int, int] = {}
     n = _trial_divide(abs(n), found, range(1))
 
-    stack = [n] if n > 1 else []
+    # (cofactor, swept): a divisor of a swept cofactor has no prime below 10**6
+    stack = [(n, False)] if n > 1 else []
     rng = None
     max_iters = effort * 100_000
     while stack:
-        m = stack.pop()
+        m, swept = stack.pop()
         if m == 1:
             continue
         if is_prime(m):
@@ -185,7 +181,7 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
             continue
         r = isqrt(m)
         if r * r == m:
-            stack.extend([r, r])
+            stack.extend([(r, swept), (r, swept)])
             continue
         f = None
         if rng is None:
@@ -196,12 +192,14 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
                 break
             f = None
         if f is not None:
-            stack.extend([f, m // f])
+            stack.extend([(f, swept), (m // f, swept)])
             continue
-        swept = _trial_divide(m, found, range(1, _TRIAL_BOUND // _BLOCK + 1))
-        if swept == m:
-            raise BudgetError(f"incomplete factorization: unfactored cofactor {m}")
-        stack.append(swept)
+        if not swept:
+            rest = _trial_divide(m, found, range(1, _TRIAL_BOUND // _BLOCK + 1))
+            if rest != m:
+                stack.append((rest, True))
+                continue
+        raise BudgetError(f"incomplete factorization: unfactored cofactor {m}")
 
     factors = tuple(sorted(found.items()))
     return Factorization(unit, factors)
@@ -246,13 +244,6 @@ def padic_val(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def rat_val(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise DomainError("valuation of 0 is infinite")
-    return padic_val(x.numerator, p) - padic_val(x.denominator, p)
 
 
 def legendre(a: int, p: int) -> int:

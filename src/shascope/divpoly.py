@@ -195,40 +195,6 @@ def verify_eq46(table: DivisionTable) -> bool:
     return lhs == ExactPoly.const(table.ring, delta)
 
 
-def _w(table: DivisionTable, k: int, x, y):
-    """Psi'_k(x, y) evaluated in the (field) coefficient ring."""
-    v = table.f(k).evaluate(x)
-    return v * y if k % 2 == 0 else v
-
-
-def mul_point_formula(table: DivisionTable, x, y, a: int):
-    """Coordinates of [a]P for P=(x,y) on the table's curve, field ring required.
-
-    x([a]P) = x - Psi'_{a-1} Psi'_{a+1} / (Psi'_a)^2
-    y([a]P) = (Psi'_{a+2} Psi'_{a-1}^2 - Psi'_{a-2} Psi'_{a+1}^2) / (4 y (Psi'_a)^3)
-    For a=2 this reduces to the duplication identity x([2]P) = phi(x)/(4 psi(x)).
-    """
-    if a < 1:
-        raise DomainError("a >= 1 required")
-    r = table.ring
-    if isinstance(x, int):
-        x = r.from_int(x)
-    if isinstance(y, int):
-        y = r.from_int(y)
-    if a == 1:
-        return x, y
-    wa = _w(table, a, x, y)
-    wa2 = wa * wa
-    if not wa2:  # over F_p a product of reduced residues is 0 only if a factor is
-        raise DomainError(f"point is {a}-torsion; [a]P = O")
-    wm1, wp1 = _w(table, a - 1, x, y), _w(table, a + 1, x, y)
-    # one exact division each, which also reduces the value over F_p
-    xa = r.exact_div(x * wa2 - wm1 * wp1, wa2)
-    num_y = _w(table, a + 2, x, y) * wm1 * wm1 - _w(table, a - 2, x, y) * wp1 * wp1
-    ya = r.exact_div(num_y, 4 * y * wa2 * wa)
-    return xa, ya
-
-
 def torsion_test(table: DivisionTable, x, y, n: int) -> bool:
     """True iff [n]P = O for the affine point P=(x,y).
 

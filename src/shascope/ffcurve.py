@@ -1,5 +1,5 @@
-"""Elliptic curves over F_p (p >= 5): group law, counting, structure,
-ell-primary components, supersingularity.
+"""Elliptic curves over F_p (p >= 5): group law, counting, structure and
+ell-primary components.
 
 #E(F_p) is counted exactly from one table of squares mod p, once per
 FpCurve, for p up to ORDER_CEILING. The group structure and the
@@ -309,8 +309,3 @@ def ell_primary(curve: FpCurve, ell: int) -> EllPrimary:
         raise InvariantViolation(f"ell-component not cyclic despite p != 1 mod {ell}")
     by_order = {o: sorted(by_order[o]) for o in sorted(by_order)}
     return EllPrimary(ell, ell**v, e1, e2, cyclic, by_order)
-
-
-def is_supersingular(curve: FpCurve) -> bool:
-    """True iff #E(F_p) = p + 1 (a_p = 0, valid for p >= 5)."""
-    return group_order(curve) == curve.p + 1

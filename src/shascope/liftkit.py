@@ -1,6 +1,5 @@
 """Desk-scale lifting plans: certify that the ell-part generator of a good
-reduction lifts to a characteristic-zero point with the same y, plus the
-admissible y^2 set and the degree bookkeeping for the tower it generates.
+reduction lifts to a characteristic-zero point with the same y.
 
 A plan fixes y to an integer lift of the reduced y-coordinate and asks for a
 p-adic root of the cubic X^3 + AX + B - y^2 near the reduced x-coordinate.
@@ -14,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .arith import is_prime, padic_val, primes_below
+from .arith import is_prime, padic_val
 from .curves import ShortModel
 from .errors import BudgetError, DomainError, InvariantViolation
 from .ffcurve import ell_primary, group_order, point_order, reduce_curve
@@ -135,43 +133,3 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     )
     cert = _hensel_certificate(cubic, p, x_bar % p)
     return LiftPlan(p, ell, n, m, gen, y_lift, y_squared, cubic, x_bar % p, (a, b), cert)
-
-
-def admissible_set(C: int) -> list[Fraction]:
-    """All reduced fractions a/b with 1 <= |a|, |b| <= C, as candidate y^2 values."""
-    if C < 1:
-        raise DomainError("C >= 1 required")
-    vals = set()
-    for a in range(1, C + 1):
-        for b in range(1, C + 1):
-            if gcd(a, b) == 1:
-                vals.add(Fraction(a, b))
-                vals.add(Fraction(-a, b))
-    return sorted(vals)
-
-
-@dataclass(frozen=True)
-class TowerDescriptor:
-    ell: int
-    radicals: tuple[str, ...]  # "i", then "sqrt(p)" per prime p <= C (p != ell), then "sqrt(ell)"
-    cubic_layers: int  # one cubic-equation layer per admissible y^2
-    s_bound: int  # degree bound divides 2^s * 3^t
-    t_bound: int
-
-
-def tower_descriptor(C: int, ell: int) -> TowerDescriptor:
-    """Degree bookkeeping for the field tower generated by the lift coordinates.
-
-    Layers: i, sqrt(p) for each prime p <= C other than ell, sqrt(ell), and one
-    cubic (the lift cubic plus its square-root back-substitution) per element
-    of admissible_set(C). Each quadratic layer contributes degree dividing 2
-    and each cubic layer degree dividing 6, so the tower degree divides
-    2^s * 3^t with s <= 1 + nu + 1 + 2*|U| and t <= |U| — coprime to ell > 3.
-    """
-    if ell <= 3 or not is_prime(ell):
-        raise DomainError("prime ell > 3 required")
-    small = [p for p in primes_below(C + 1) if p != ell]
-    nu = len(small)
-    u = len(admissible_set(C))
-    radicals = ("i",) + tuple(f"sqrt({p})" for p in small) + (f"sqrt({ell})",)
-    return TowerDescriptor(ell, radicals, u, 1 + nu + 1 + 2 * u, u)

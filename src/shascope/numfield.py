@@ -1,6 +1,6 @@
 """Exact traces in quotient rings Q[X]/(g): zero-trace checks for torsion
-x-coordinates, the normalized alpha root-sums at levels n = 1, 2, the level-2
-closed form, and the per-place bound constants.
+x-coordinates, the normalized alpha root-sums at levels n = 1, 2 and the
+level-2 closed form.
 
 Traces use Newton power sums of the (monicized) modulus; inverses use the
 extended euclidean algorithm in Q[X]. The alpha root-sum over the roots of
@@ -8,10 +8,11 @@ g = f_{ell^n} / f_{ell^(n-1)} comes from a residue identity in the cubic ring
 Q[Y]/(psi): sum 1/psi(r) = -Tr(g'/(psi' g)), with g'/g read off the f_k
 reduced mod psi^2 along the division recursion, so g (degree 300 at
 (ell, n) = (5, 2)) is never built. The checks that stay: psi squarefree,
-f_{ell^k} invertible mod psi, and the per-place bound on S. The closed form
-works in the tensor ring Q[Y,L]/(psi(Y), g_ell(L)), where traces of
-monomials Y^j L^a factor as products of per-factor power sums and 1/(Y-L)
-comes from the difference quotient of g_ell.
+f_{ell^k} invertible mod psi, and S = 0, which alpha_trace_direct proves
+for every curve, ell and n. The closed form works in the tensor ring
+Q[Y,L]/(psi(Y), g_ell(L)), where traces of monomials Y^j L^a factor as
+products of per-factor power sums and 1/(Y-L) comes from the difference
+quotient of g_ell.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import factorize, is_prime, padic_val, rat_val
+from .arith import is_prime
 from .curves import ShortModel
 from .divpoly import DivisionTable, ReducedTable, build_phi, psi_squared, quotient_g, symbolic_table
 from .errors import DomainError, InvariantViolation, NotInvertibleError
@@ -195,8 +196,19 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     its multiplicity, as power sums do. The checks that remain: the
     preconditions, psi squarefree (QuotRing), f_{ell^k}(Y) invertible mod psi
     (a 2-torsion x-coordinate is no ell-power torsion x-coordinate), and
-    |S|_q within the bound constant at every prime q != ell of its
-    denominator.
+    S = 0, which holds for every curve, ell and n. Proof, for odd N, with
+    T_i = (e_i, 0) the 2-torsion points:
+    1. The chord through P and T_i gives x(P+T_i) - e_i = psi'(e_i)/(x(P) - e_i).
+    2. N is odd, so {Q : [N]Q = T_i} = T_i + E[N], and its x-coordinates,
+       with multiplicity, are the roots of Phi_N(X, e_i).
+    3. By the Phi coefficient rule that cor7_check tests (the X^(N^2-1)
+       coefficient is -N^2 lam, for every N by weight), they sum to N^2 e_i,
+       so the sum of x(P+T_i) over P in E[N] - O is (N^2 - 1) e_i.
+    4. With step 1, the sum of 1/(x(P) - e_i) over P in E[N] - O is 0.
+    5. Partial fractions, 1/psi = sum_i 1/(psi'(e_i) (x - e_i)), make the sum
+       of 1/psi(x(P)) over P in E[N] - O zero too.
+    6. Each root of g_{ell^n} is x(P) for the two points +-P of E[ell^n]
+       outside E[ell^(n-1)], so twice the sum over the roots is 0 - 0.
 
     The identification of this normalized root-sum with a field trace divided
     by the field degree holds when all primitive ell^n-torsion points are
@@ -215,12 +227,7 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     degree = DivisionTable.expected_degree(ell**n) - DivisionTable.expected_degree(ell ** (n - 1))
     S = Fraction(ell**3 * dp) * total / degree
     if S != 0:
-        for q in factorize(S.denominator).primes():
-            if q == ell:
-                continue
-            bound = bound_constants(model, ell, q)
-            if Fraction(q) ** (-rat_val(S, q)) > bound:
-                raise InvariantViolation(f"|S|_{q} exceeds the bound constant")
+        raise InvariantViolation(f"alpha root-sum S = {S} is not 0")
     return AlphaTraceResult(ell, n, S, degree)
 
 
@@ -297,46 +304,3 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
 
     deg_level2 = ell * ell * dg  # deg g_{ell^2}
     return Fraction(ell**3 * dp) * total / deg_level2
-
-
-# ---------------------------------------------------------------------------
-# bound constants
-# ---------------------------------------------------------------------------
-
-INF = float("inf")
-
-
-def bound_constants(model: ShortModel, ell: int, q):
-    """Per-place constants bounding the normalized alpha trace.
-
-    finite q != ell: |(ell-1)^-2 (ell+1)^-1|_q, an exact rational.
-    q == ell: max over n in {1,2} of |S_n|_ell.
-    q == INF: |delta'| * ell^3 * max(2, 1/delta^3) with delta the minimal
-    distance from the roots of g_ell inside |x| < sqrt(2(|A|+|B|)) to the
-    roots of psi. It uses g_ell (level n = 1) only, and it is an uncertified
-    estimate: the roots come from mpmath.polyroots at 200 bits.
-    """
-    dp = _check_alpha_pre(model, ell, 1)
-    if q == INF:
-        return _bound_infinity(model, ell, dp)
-    if q == ell:
-        vals = []
-        for n in (1, 2):
-            S = alpha_trace_direct(model, ell, n).S
-            vals.append(Fraction(0) if S == 0 else Fraction(ell) ** (-rat_val(S, ell)))
-        return max(vals)
-    e = padic_val((ell - 1) ** 2 * (ell + 1), q)
-    return Fraction(q) ** e
-
-
-def _bound_infinity(model: ShortModel, ell: int, dp: int):
-    import mpmath as mp
-
-    g = DivisionTable(ZZ, model.A, model.B).f(ell)
-    with mp.workprec(200):
-        psi_roots = mp.polyroots([mp.mpf(1), 0, mp.mpf(model.A), mp.mpf(model.B)])
-        radius = mp.sqrt(2 * (abs(model.A) + abs(model.B)))
-        roots = mp.polyroots([mp.mpf(c) for c in reversed(g.coeffs)], maxsteps=200, extraprec=200)
-        dists = [min(abs(x - e) for e in psi_roots) for x in roots if abs(x) < radius]
-        factor = max(mp.mpf(2), 1 / min(dists) ** 3) if dists else mp.mpf(2)
-        return abs(dp) * mp.mpf(ell) ** 3 * factor

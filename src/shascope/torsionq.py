@@ -20,8 +20,8 @@ from math import gcd, isqrt
 from .arith import is_prime
 from .curves import ShortModel, minimize_short
 from .divpoly import DivisionTable
-from .errors import DomainError, InvariantViolation
-from .ffcurve import INFINITY, FpCurve, enumerate_points, group_order, point_order as fp_point_order, reduce_curve
+from .errors import InvariantViolation
+from .ffcurve import INFINITY, FpCurve, enumerate_points, group_order, point_order as fp_point_order
 from .poly import ZZ
 
 MAZUR_ORDER_BOUND = 16
@@ -128,27 +128,3 @@ def rational_torsion(model: ShortModel) -> TorsionGroup:
             raise InvariantViolation("no generator of the full torsion order found")
         structure = f"Z/{order}Z"
     return TorsionGroup(structure, order, tuple(sorted(pts.keys())))
-
-
-def torsion_injection_check(model: ShortModel, p: int, m: int) -> bool:
-    """Injectivity (with order preservation) of E[m](Q) -> E~(F_p) for good p >= 5."""
-    if p < 5:
-        raise DomainError("requires p >= 5")
-    if gcd(m, p) != 1:
-        raise DomainError("m must be coprime to p")
-    minimized, _ = minimize_short(model)
-    curve = reduce_curve(minimized, p)  # raises BadReductionError on bad p
-    tor = rational_torsion(model)
-    images = {INFINITY}
-    for (x, y) in tor.points:
-        P = (Fraction(x), Fraction(y))
-        o = _torsion_order(minimized.A, minimized.B, P) if y != 0 else 2
-        if o is None or m % o != 0:
-            continue
-        img = (x % p, y % p)
-        if img in images:
-            return False
-        if fp_point_order(curve, img) != o:
-            return False
-        images.add(img)
-    return True

@@ -6,18 +6,14 @@ import sympy
 
 from shascope import arith
 from shascope.arith import (
-    Factorization,
     factorize,
     is_prime,
-    is_prime_certified,
     legendre,
     padic_val,
     primes_below,
-    rat_val,
     sqrt_mod,
 )
 from shascope.errors import BudgetError, DomainError
-from fractions import Fraction
 
 
 def test_is_prime_small_range_vs_sympy():
@@ -38,13 +34,8 @@ def test_is_prime_big_values():
     assert is_prime(2**89 - 1)  # Mersenne prime
     assert not is_prime(2**89 + 1)
     assert is_prime(8420798017)
-
-
-def test_is_prime_certified_regimes():
-    ok, cert = is_prime_certified(10**18 + 9)
-    assert ok and cert
-    ok, cert = is_prime_certified(2**127 - 1)
-    assert ok and not cert
+    assert is_prime(10**18 + 9)  # below the deterministic Miller-Rabin bound
+    assert is_prime(2**127 - 1)  # above it: a probable prime
 
 
 def test_factorize_random_vs_sympy():
@@ -125,6 +116,12 @@ def test_factorize_sweeps_only_what_rho_gave_up_on(monkeypatch):
     assert sweeps == []
     _assert_factorization(999983 * 1000003, factorize(999983 * 1000003, effort=0))
     assert sweeps == [999983 * 1000003]
+    # the swept cofactor 1000003 * 1000033 has no prime below 10**6 to find
+    sweeps.clear()
+    n = 999983 * 1000003 * 1000033
+    with pytest.raises(BudgetError, match="unfactored cofactor 1000036000099$"):
+        factorize(n, effort=0)
+    assert sweeps == [n]
 
 
 def test_factorize_sign_and_unit():
@@ -144,12 +141,10 @@ def test_factorize_example_discriminant():
     }
 
 
-def test_padic_and_rat_val():
+def test_padic_val():
     assert padic_val(2**15 * 23**10, 2) == 15
     assert padic_val(2**15 * 23**10, 23) == 10
     assert padic_val(7, 5) == 0
-    assert rat_val(Fraction(8, 9), 2) == 3
-    assert rat_val(Fraction(8, 9), 3) == -2
     with pytest.raises(DomainError):
         padic_val(0, 2)
 

@@ -9,7 +9,6 @@ from shascope.divpoly import (
     build_phi,
     check_lemma5,
     eq46_parts,
-    mul_point_formula,
     psi_squared,
     quotient_g,
     symbolic_table,
@@ -125,8 +124,35 @@ def test_build_phi_shape():
             assert build_phi(t, m, lam) == build_phi(t, m, 0) - psi_squared(t, m).scale(lam)
 
 
+def _w(table, k, x, y):
+    """Psi'_k(x, y) evaluated in the (field) coefficient ring."""
+    v = table.f(k).evaluate(x)
+    return v * y if k % 2 == 0 else v
+
+
+def mul_point_formula(table, x, y, a):
+    """Coordinates of [a]P for P = (x, y) and a >= 2, field ring required.
+
+    x([a]P) = x - Psi'_{a-1} Psi'_{a+1} / (Psi'_a)^2
+    y([a]P) = (Psi'_{a+2} Psi'_{a-1}^2 - Psi'_{a-2} Psi'_{a+1}^2) / (4 y (Psi'_a)^3)
+    For a = 2 this reduces to the duplication identity x([2]P) = phi(x)/(4 psi(x)).
+    """
+    r = table.ring
+    wa = _w(table, a, x, y)
+    wa2 = wa * wa
+    if not wa2:  # over F_p a product of reduced residues is 0 only if a factor is
+        raise DomainError(f"point is {a}-torsion; [a]P = O")
+    wm1, wp1 = _w(table, a - 1, x, y), _w(table, a + 1, x, y)
+    # one exact division each, which also reduces the value over F_p
+    xa = r.exact_div(x * wa2 - wm1 * wp1, wa2)
+    num_y = _w(table, a + 2, x, y) * wm1 * wm1 - _w(table, a - 2, x, y) * wp1 * wp1
+    ya = r.exact_div(num_y, 4 * y * wa2 * wa)
+    return xa, ya
+
+
 def test_mul_point_formula_matches_group_law():
-    # over F_101 on y^2 = x^3 + x + 1, compare with chord-tangent arithmetic
+    # DivisionTable.f over F_101 on y^2 = x^3 + x + 1, through the
+    # multiplication formulas, against chord-tangent arithmetic
     p = 101
     curve = FpCurve(p, 1, 1)
     t = DivisionTable(Fp(p), 1 % p, 1 % p)

@@ -11,7 +11,6 @@ from shascope.ffcurve import (
     enumerate_points,
     group_order,
     group_structure,
-    is_supersingular,
     neg,
     point_order,
     reduce_curve,
@@ -47,6 +46,9 @@ def test_group_order_vs_brute_force():
                 continue
             c = FpCurve(p, A, B)
             assert group_order(c) == len(brute_points(p, A, B))
+    # y^2 = x^3 + 1 is supersingular (#E = p + 1) at p = 2 mod 3 only
+    assert group_order(FpCurve(11, 0, 1)) == 12
+    assert group_order(FpCurve(13, 0, 1)) != 14
 
 
 def test_group_law_against_brute_force_cayley():
@@ -109,7 +111,6 @@ def test_order_ceiling_stops_every_count_and_walk():
     calls = [
         group_order,
         enumerate_points,
-        is_supersingular,
         group_structure,
         lambda c: ell_primary(c, 3),
     ]
@@ -132,12 +133,6 @@ def test_squares_table_certifies_that_p_is_prime():
     # the ceiling is checked before the table is built
     with pytest.raises(BudgetError, match="ceiling exceeded: p=1000002 > 1000000"):
         group_order(FpCurve(1000002, 1, 1))
-
-
-def test_supersingular_known_case():
-    # y^2 = x^3 + 1 is supersingular at p = 2 mod 3
-    assert is_supersingular(FpCurve(11, 0, 1))
-    assert not is_supersingular(FpCurve(13, 0, 1))
 
 
 def test_ell_primary_matches_point_order_oracle():

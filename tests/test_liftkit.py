@@ -4,8 +4,8 @@ import pytest
 
 from shascope.curves import ShortModel
 from shascope.errors import DomainError
-from shascope.ffcurve import INFINITY, add, neg, reduce_curve, scalar_mul, enumerate_points
-from shascope.liftkit import admissible_set, lift_plan, tower_descriptor
+from shascope.ffcurve import add, neg, reduce_curve, scalar_mul, enumerate_points
+from shascope.liftkit import lift_plan
 
 EX3_MIN = ShortModel(-5316979, -4724275762)
 
@@ -79,30 +79,3 @@ def test_decomposition_replay_over_fp():
         # a*m = 1 mod ell: [am]Q - Q in the ell-part kernel complement
         diff = add(curve, mQ, neg(curve, Q))
         assert diff in ell_image
-
-
-def test_admissible_set_counts():
-    assert sorted(admissible_set(1)) == [Fraction(-1), Fraction(1)]
-    s2 = admissible_set(2)
-    assert len(s2) == 6
-    assert set(s2) == {Fraction(k) for k in (1, -1, 2, -2)} | {Fraction(1, 2), Fraction(-1, 2)}
-    s3 = admissible_set(3)
-    assert len(s3) == 14  # all reduced a/b with |a|,|b| <= 3
-    assert Fraction(2, 3) in s3 and Fraction(-3, 2) in s3
-    assert Fraction(2, 2) not in [f for f in s3 if f.denominator == 2 and abs(f.numerator) == 2]
-
-
-def test_tower_descriptor_fixture():
-    td = tower_descriptor(1, 5)
-    assert td.radicals == ("i", "sqrt(5)")
-    assert td.cubic_layers == 2
-    assert td.s_bound == 2 + 2 * 2
-    assert td.t_bound == 2
-
-
-def test_tower_degree_coprime_to_ell():
-    for ell in (11, 41):
-        td = tower_descriptor(3, ell)
-        assert (2**td.s_bound * 3**td.t_bound) % ell != 0
-    with pytest.raises(DomainError):
-        tower_descriptor(2, 3)

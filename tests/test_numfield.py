@@ -3,6 +3,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shascope import numfield
 from shascope.curves import ShortModel
@@ -13,7 +15,6 @@ from shascope.numfield import (
     _inverse_root_sum,
     alpha_trace_direct,
     alpha_trace_step8,
-    bound_constants,
     cor6_check,
     cor7_check,
     invert_mod,
@@ -83,8 +84,17 @@ def test_alpha_trace_direct_is_zero_and_matches_numeric():
     g = quotient_g(t, 5, 1)
     with mp.workprec(120):
         roots = mp.polyroots([mp.mpf(c) for c in reversed(g.coeffs)])
-        s = sum(1 / (x**3 + x + 1) for x in roots) * 125 * 31 / 12
-        assert abs(s) < mp.mpf(10) ** -20
+        terms = [1 / (x**3 + x + 1) for x in roots]
+        assert abs(sum(terms) * 125 * 31 / 12) < mp.mpf(10) ** -20
+        assert max(abs(t) for t in terms) > 0.1  # the sum cancels; no term is tiny
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-100, 100), st.integers(-100, 100), st.sampled_from((5, 7, 11, 13)), st.sampled_from((1, 2)))
+def test_alpha_trace_direct_is_zero_on_random_curves(A, B, ell, n):
+    dp = ShortModel(A, B).delta_prime()
+    assume(dp % ell != 0)  # also rules out delta' = 0
+    assert alpha_trace_direct(ShortModel(A, B), ell, n).S == 0
 
 
 def test_alpha_trace_element_override():
@@ -110,15 +120,11 @@ def test_inverse_root_sum_matches_degree_n_oracle():
 
 
 def test_alpha_trace_bound_check_rejects_a_large_q_part(monkeypatch):
-    # S is 0 on every real curve, so the |S|_q <= bound check is reached only
-    # through a substituted root sum; on (1,1) at ell = 5 the bounds at 2, 3
-    # and 11 are |(ell-1)^-2 (ell+1)^-1|_q = 32, 3 and 1
+    # S is 0 on every curve, so the check is exact: any nonzero S raises,
+    # here S = 5^3 * 31 / (11 * 12) from a substituted root sum
     monkeypatch.setattr(numfield, "_inverse_root_sum", lambda *args: Fraction(1, 11))
-    with pytest.raises(InvariantViolation, match=r"\|S\|_11 exceeds"):
+    with pytest.raises(InvariantViolation, match="S = 3875/132 is not 0"):
         alpha_trace_direct(CURVE_A, 5, 1)
-    # S = 5^3 * 31 / 12: |S|_2 = 4 <= 32 and |S|_3 = 3 <= 3
-    monkeypatch.setattr(numfield, "_inverse_root_sum", lambda *args: Fraction(1))
-    assert alpha_trace_direct(CURVE_A, 5, 1).S == Fraction(125 * 31, 12)
 
 
 def test_alpha_trace_direct_at_7_2_matches_step8():
@@ -144,32 +150,3 @@ def test_alpha_trace_preconditions():
         alpha_trace_direct(CURVE_A, 3, 1)  # ell too small
     with pytest.raises(DomainError):
         alpha_trace_direct(CURVE_A, 5, 3)  # level too deep
-
-
-def test_bound_constants_finite_places():
-    # |.|_q of (ell-1)^-2 (ell+1)^-1 at ell = 5: (16*6) = 2^5 * 3
-    assert bound_constants(CURVE_A, 5, 2) == 32
-    assert bound_constants(CURVE_A, 5, 3) == 3
-    assert bound_constants(CURVE_A, 5, 7) == 1
-    assert bound_constants(CURVE_A, 5, 5) == 0  # both trace values vanish
-
-
-def test_bound_constants_infinity():
-    v = bound_constants(CURVE_A, 5, float("inf"))
-    assert v >= 2 * 31 * 125  # at least |delta'| ell^3 * 2
-
-
-def test_bound_constants_infinity_is_the_inverse_cube_distance():
-    # oracle: delta, the least distance from a root of f_5 with |x| < radius to
-    # a root of x^3 + x + 1, from sympy's 50-digit roots; 1/delta^3 ~ 183.32,
-    # where 1/delta^2 would give ~ 32.3
-    x = sympy.Symbol("x")
-    f5 = sympy.Poly(list(reversed(DivisionTable(ZZ, 1, 1).f(5).coeffs)), x)
-    psi_roots = sympy.Poly(x**3 + x + 1, x).nroots(n=50)
-    radius = sympy.sqrt(2 * (1 + 1))
-    delta = min(
-        min(sympy.Abs(r - e) for e in psi_roots) for r in f5.nroots(n=50) if sympy.Abs(r) < radius
-    )
-    assert 0.176 < delta < 0.177
-    v = bound_constants(CURVE_A, 5, float("inf"))
-    assert abs(sympy.Float(v, 60) / (31 * 125) * delta**3 - 1) < sympy.Float("1e-30")

@@ -5,18 +5,15 @@ import sys
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
-import pytest
 import sympy
 
 import shascope
 from shascope.curves import LongModel, ShortModel, minimize_short, to_short
-from shascope.ffcurve import INFINITY
+from shascope.ffcurve import INFINITY, point_order, reduce_curve
 from shascope.torsionq import (
-    TorsionGroup,
     _add_q,
     _torsion_order,
     rational_torsion,
-    torsion_injection_check,
 )
 
 EX3_SHORT = to_short(LongModel(1, -1, 0, -332311, -73733731))
@@ -88,6 +85,22 @@ def test_gcd_reduction_bound():
             continue
         g = gcd(g, group_order(reduce_curve(m, p)))
     assert g % t.order == 0
+
+
+def torsion_injection_check(model, p, m):
+    """Injectivity (with order preservation) of E[m](Q) -> E~(F_p) for good p >= 5."""
+    minimized, _ = minimize_short(model)
+    curve = reduce_curve(minimized, p)  # raises BadReductionError on bad p
+    images = {INFINITY}
+    for x, y in rational_torsion(model).points:
+        o = _torsion_order(minimized.A, minimized.B, (Fraction(x), Fraction(y))) if y != 0 else 2
+        if o is None or m % o != 0:
+            continue
+        img = (x % p, y % p)
+        if img in images or point_order(curve, img) != o:
+            return False
+        images.add(img)
+    return True
 
 
 def test_injection_into_good_reduction():
