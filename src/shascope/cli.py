@@ -22,6 +22,7 @@ from .errors import BudgetError, DomainError, ShaScopeError
 from .poly import ZZ, ExactPoly
 
 _JSON_INT_LIMIT = 2**53
+MAX_N_CEILING = 10**4  # largest verify-identities --max-n: about one TopTable step per n
 
 
 def _enc(x):
@@ -164,6 +165,8 @@ def _run(args) -> None:
     elif args.command == "verify-identities":
         if args.max_n < 0:
             raise DomainError(f"--max-n must be >= 0, got {args.max_n}")
+        if args.max_n > MAX_N_CEILING:
+            raise BudgetError(f"--max-n {args.max_n} exceeds ceiling {MAX_N_CEILING}")
         table = divpoly.symbolic_table()
         lemma5 = all(divpoly.check_lemma5(table, n) for n in range(1, args.max_n + 1))
         eq46 = divpoly.verify_eq46(table)

@@ -15,21 +15,41 @@ and recursions (psi = X^3 + AX + B)
 The division by 2 is asserted exact at runtime. deg f_n = (n^2-1)/2 for odd n
 and (n^2-4)/2 for even n; the roots of f_n are the x-coordinates of the
 nonzero n-torsion (odd n) resp. n-torsion with 2-torsion removed (even n).
+
+Three tables run that recursion. DivisionTable holds whole f_n, up to a
+degree ceiling. ReducedTable holds f_n mod a fixed monic M. TopTable holds
+the top two coefficients of f_n, leading first: rev(f_n) = X^d f_n(1/X)
+mod X^2 with d = d_n = expected_degree(n), whether or not the degree drops
+mod p. Reversal at these formal degrees commutes with the recursion:
+
+    rev_{d+e}(P Q) = rev_d(P) rev_e(Q)      (deg P <= d, deg Q <= e)
+    rev_d(P - Q)   = rev_d(P) - rev_d(Q)     (deg P, deg Q <= d)
+
+and in every difference of the recursion both terms have formal degree d_n
+(d_n - d_m inside the bracket of f_{2m}), which _step asserts on the d_k.
+Truncation mod X^2 is a ring map, and it commutes with the exact halving.
+So TopTable runs the same _step on reversed seeds with rev(psi) = 1 + AX^2 +
+BX^3, each value two coefficients long, and needs no degree ceiling.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import BudgetError, DomainError, InvariantViolation
 from .poly import ZAB, ExactPoly, MPoly, Ring
 
 DEGREE_CEILING = 700  # largest deg f_n a DivisionTable builds
+TOP_BITS_CEILING = 1024  # largest bit length of the n whose f_n a TopTable builds
+ALPHA_N_CEILING = 300  # largest N = ell^n of an alpha root-sum (cost ~ N^3.7)
 
 
 class DivisionTable:
     """Memoized f_n table for one curve over one coefficient ring.
 
-    Mutation happens only inside f(); building a table concurrently for
-    distinct curves is safe, concurrent extension of one table is not.
+    Mutation happens only inside f() and on the first read of top; building
+    tables concurrently for distinct curves is safe, concurrent extension of
+    one table is not.
     """
 
     def __init__(self, ring: Ring, A, B):
@@ -53,6 +73,11 @@ class DivisionTable:
     @staticmethod
     def expected_degree(n: int) -> int:
         return (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
+
+    @cached_property
+    def top(self) -> TopTable:
+        """The TopTable of this curve and ring, built on first use and shared."""
+        return TopTable(self.ring, self.A, self.B)
 
     def f(self, n: int) -> ExactPoly:
         if n < 0:
@@ -78,18 +103,46 @@ class DivisionTable:
 
     def _step(self, n: int) -> ExactPoly:
         """f_n for n >= 5 by the f_{2m} / f_{2m+1} recursion over self.f."""
+        f, d = self.f, self.expected_degree
         m = n // 2
         if n % 2 == 0:
-            t = self.f(m + 2) * self.f(m - 1) * self.f(m - 1) - self.f(m - 2) * self.f(
-                m + 1
-            ) * self.f(m + 1)
-            return self._reduce(self.f(m) * t).exact_div_scalar(self.ring.from_int(2))
-        a = self.f(m + 2) * self.f(m) * self.f(m) * self.f(m)
-        b = self.f(m + 1) * self.f(m + 1) * self.f(m + 1) * self.f(m - 1)
-        return self._reduce(a * self._psi2 - b if m % 2 == 0 else a - b * self._psi2)
+            t = f(m + 2) * f(m - 1) * f(m - 1) - f(m - 2) * f(m + 1) * f(m + 1)
+            _same_degree(n, d(m) + d(m + 2) + 2 * d(m - 1), d(m) + d(m - 2) + 2 * d(m + 1))
+            return self._reduce(f(m) * t).exact_div_scalar(self.ring.from_int(2))
+        a = f(m + 2) * f(m) * f(m) * f(m)
+        b = f(m + 1) * f(m + 1) * f(m + 1) * f(m - 1)
+        da, db = d(m + 2) + 3 * d(m), 3 * d(m + 1) + d(m - 1)
+        if m % 2 == 0:
+            a, da = a * self._psi2, da + 6
+        else:
+            b, db = b * self._psi2, db + 6
+        _same_degree(n, da, db)
+        return self._reduce(a - b)
 
     def _reduce(self, val: ExactPoly) -> ExactPoly:
         return val
+
+    def _fill(self, n: int) -> None:
+        """Memoize f_n and every f_k its recursion reads, smallest k first.
+
+        Each _step then finds the f_k it reads in the memo, so no Python
+        recursion builds up, however large n is.
+        """
+        todo, need = [n], set()
+        while todo:
+            k = todo.pop()
+            if k not in need and k not in self._memo:
+                need.add(k)
+                m = k // 2
+                todo += range(m - 2 if k % 2 == 0 else m - 1, m + 3)
+        for k in sorted(need):
+            self._memo[k] = self._step(k)
+
+
+def _same_degree(n: int, da: int, db: int) -> None:
+    """Both terms of f_n's difference have formal degree d_n, as reversal needs."""
+    if not da == db == DivisionTable.expected_degree(n):
+        raise InvariantViolation(f"f_{n}: terms of formal degree {da} and {db}")
 
 
 class ReducedTable(DivisionTable):
@@ -109,11 +162,44 @@ class ReducedTable(DivisionTable):
 
     def f(self, n: int) -> ExactPoly:
         if n not in self._memo:
-            self._memo[n] = self._step(n)
+            self._fill(n)
         return self._memo[n]
 
     def _reduce(self, val: ExactPoly) -> ExactPoly:
         return val.mod(self.modulus)
+
+
+class TopTable(DivisionTable):
+    """rev(f_n) mod X^2: the top two coefficients of f_n, leading first.
+
+    The module docstring gives the reason the recursion holds on reversed
+    values. Only the O(log n) indices the recursion visits are built, each
+    two coefficients long; the budget is the bit length of n
+    (TOP_BITS_CEILING).
+    """
+
+    def __init__(self, ring: Ring, A, B):
+        super().__init__(ring, A, B)
+        c = ring.from_int
+        self.psi = self._reduce(ExactPoly.make(ring, [c(1), c(0), A, B]))  # rev(psi)
+        self._psi2 = self._reduce(self.psi * self.psi)
+        for n, v in self._memo.items():  # rev(f_n) mod X^2: the X^{d_n}, X^{d_n - 1} coefficients
+            d = self.expected_degree(n)
+            self._memo[n] = ExactPoly.make(ring, [v.coeff(d), v.coeff(d - 1)])
+
+    def f(self, n: int) -> ExactPoly:
+        if n not in self._memo:
+            if n < 0:
+                raise DomainError("f_n defined for n >= 0")
+            if n.bit_length() > TOP_BITS_CEILING:
+                raise BudgetError(
+                    f"f_n for n of {n.bit_length()} bits exceeds ceiling {TOP_BITS_CEILING} bits"
+                )
+            self._fill(n)
+        return self._memo[n]
+
+    def _reduce(self, val: ExactPoly) -> ExactPoly:
+        return ExactPoly.make(self.ring, val.coeffs[:2])
 
 
 def symbolic_table() -> DivisionTable:
@@ -122,25 +208,17 @@ def symbolic_table() -> DivisionTable:
 
 
 def check_lemma5(table: DivisionTable, n: int) -> bool:
-    """Degree, leading coefficient n, and vanishing sub-leading coefficient of f_n."""
+    """Degree, leading coefficient n, and vanishing sub-leading coefficient of f_n.
+
+    Read from the top two coefficients in table.top. The recursion bounds
+    deg f_n by d_n, so the degree is d_n iff the X^{d_n} coefficient is
+    nonzero; over F_p with p | n it is n = 0, and the check is False.
+    """
     if n < 1:
         raise DomainError("n >= 1 required")
-    fn = table.f(n)
-    d = table.expected_degree(n)
-    if fn.degree() != d:
-        return False
-    lead_ok = fn.lc() == table.ring.from_int(n)
-    sub_ok = d == 0 or not fn.coeff(d - 1)
-    return lead_ok and sub_ok
-
-
-def psi_squared(table: DivisionTable, n: int) -> ExactPoly:
-    """(Psi'_n)^2 as a polynomial in X: f_n^2, times psi for even n."""
-    if n < 1:
-        raise DomainError("n >= 1 required")
-    fn = table.f(n)
-    sq = fn * fn
-    return sq * table.psi if n % 2 == 0 else sq
+    top = table.top.f(n)
+    lead = top.coeff(0)
+    return bool(lead) and lead == table.ring.from_int(n) and not top.coeff(1)
 
 
 def quotient_g(table: DivisionTable, ell: int, n: int) -> ExactPoly:
@@ -155,25 +233,6 @@ def quotient_g(table: DivisionTable, ell: int, n: int) -> ExactPoly:
     if n == 1:
         return table.f(ell)
     return table.f(ell**n).exact_div(table.f(ell ** (n - 1)))
-
-
-def build_phi(table: DivisionTable, m: int, lam) -> ExactPoly:
-    """Phi_m(X, lam) = (X - lam)(Psi'_m)^2 - Psi'_{m-1} Psi'_{m+1}.
-
-    Monic of degree m^2 with X^{m^2-1} coefficient -lam*m^2. Its roots are the
-    x-coordinates of points P with x([m]P) = lam.
-    """
-    if m < 1:
-        raise DomainError("m >= 1 required")
-    r = table.ring
-    if isinstance(lam, int):
-        lam = r.from_int(lam)
-    x_minus_lam = ExactPoly.make(r, [-lam, r.from_int(1)])
-    cross = table.f(m - 1) * table.f(m + 1)
-    if m % 2 == 1:
-        # m-1, m+1 even: Psi'_{m-1} Psi'_{m+1} = f_{m-1} f_{m+1} y^2
-        cross = cross * table.psi
-    return x_minus_lam * psi_squared(table, m) - cross
 
 
 def eq46_parts(table: DivisionTable):

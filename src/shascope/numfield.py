@@ -23,8 +23,15 @@ from math import lcm
 
 from .arith import is_prime
 from .curves import ShortModel
-from .divpoly import DivisionTable, ReducedTable, build_phi, psi_squared, quotient_g, symbolic_table
-from .errors import DomainError, InvariantViolation, NotInvertibleError
+from .divpoly import (
+    ALPHA_N_CEILING,
+    TOP_BITS_CEILING,
+    DivisionTable,
+    ReducedTable,
+    TopTable,
+    symbolic_table,
+)
+from .errors import BudgetError, DomainError, InvariantViolation, NotInvertibleError
 from .poly import QQ, ZZ, ExactPoly, Fp, ext_gcd_qq, poly_gcd
 
 
@@ -110,27 +117,43 @@ def invert_mod(ring: QuotRing, elem: ExactPoly) -> ExactPoly:
 
 
 def cor6_check(model: ShortModel, ell: int, n: int = 1) -> bool:
-    """Vanishing of the sub-leading coefficient of g_{ell^n} (zero trace of x_n)."""
+    """Vanishing of the sub-leading coefficient of g_{ell^n} (zero trace of x_n).
+
+    g = F/f with F = f_{ell^n} and f = f_{ell^(n-1)}, so rev(g) = rev(F)/rev(f)
+    as power series, with X coefficient (F_1 f_0 - F_0 f_1)/f_0^2 in the top
+    coefficients F_0, F_1, f_0, f_1 of a TopTable. The bit length of ell^n,
+    bounded by n times that of ell, is checked before ell is tested prime.
+    """
+    bits = n * ell.bit_length()
+    if bits > TOP_BITS_CEILING:
+        raise BudgetError(f"ell^n of up to {bits} bits exceeds ceiling {TOP_BITS_CEILING} bits")
     if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
-    g = quotient_g(DivisionTable(ZZ, model.A, model.B), ell, n)
-    d = g.degree()
-    return g.coeff(d - 1) == 0
+    if n < 1:
+        raise DomainError("n >= 1 required")
+    top = TopTable(ZZ, model.A, model.B)
+    F, f = top.f(ell**n), top.f(ell ** (n - 1))
+    return F.coeff(1) * f.coeff(0) == f.coeff(1) * F.coeff(0)
 
 
 def cor7_check(model: ShortModel | None, ell: int) -> bool:
     """Coefficient of X^(ell^2-1) in Phi_ell(X, lam) equals -ell^2*lam, with
     lam an indeterminate; model=None makes A and B indeterminates too.
 
-    build_phi is linear in lam, Phi_ell = build_phi(t, ell, 0) - lam*(Psi'_ell)^2,
-    so the rule holds iff the first has no X^k term and the second's is ell^2.
+    Phi_ell = (X - lam) f_ell^2 - f_{ell-1} f_{ell+1} psi = P - lam f_ell^2,
+    with P of degree ell^2 and f_ell^2 of degree ell^2 - 1. So the rule holds
+    iff P is monic with no X^(ell^2-1) term and f_ell has leading coefficient
+    squaring to ell^2: the top two coefficients of P, where
+    rev(P) = rev(f_ell)^2 - rev(f_{ell-1}) rev(f_{ell+1}) rev(psi), and the
+    top one of f_ell.
     """
     if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
-    table = symbolic_table() if model is None else DivisionTable(ZZ, model.A, model.B)
-    k = ell * ell - 1
-    lead = psi_squared(table, ell).coeff(k)
-    return not build_phi(table, ell, 0).coeff(k) and lead == table.ring.from_int(ell * ell)
+    top = (symbolic_table() if model is None else DivisionTable(ZZ, model.A, model.B)).top
+    f, c = top.f, top.ring.from_int
+    P = f(ell) * f(ell) - f(ell - 1) * f(ell + 1) * top.psi
+    lead = f(ell).coeff(0)
+    return P.coeff(0) == c(1) and not P.coeff(1) and lead * lead == c(ell * ell)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +172,15 @@ class AlphaTraceResult:
 def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> int:
     if ell <= 3:
         raise DomainError("ell > 3 required")
+    if n not in (1, 2):
+        raise DomainError("n in {1, 2} required")
+    if ell**n > ALPHA_N_CEILING:  # before the primality test, which grows with ell too
+        raise BudgetError(f"ell^n = {ell**n} exceeds ceiling {ALPHA_N_CEILING}")
     if not is_prime(ell):
         raise DomainError(f"ell={ell} is not prime")
     dp = model.delta_prime()
     if dp % ell == 0:
         raise DomainError(f"ell={ell} divides delta'")
-    if n not in (1, 2):
-        raise DomainError("n in {1, 2} required")
     return dp
 
 

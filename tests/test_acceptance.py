@@ -21,9 +21,7 @@ from shascope.curves import (
 )
 from shascope.divpoly import (
     DivisionTable,
-    build_phi,
     check_lemma5,
-    psi_squared,
     quotient_g,
     symbolic_table,
     torsion_test,
@@ -43,6 +41,8 @@ from shascope.numfield import alpha_trace_direct, alpha_trace_step8, cor6_check,
 from shascope.poly import Fp
 from shascope.torsionq import rational_torsion
 from shascope.arith import factorize, primes_below
+
+from divpoly_oracle import build_phi, psi_squared
 
 EX2_LONG = LongModel(0, 1692602, 0, -530052723915, 0)
 EX3_LONG = LongModel(1, -1, 0, -332311, -73733731)

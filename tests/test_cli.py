@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shascope import cli, curves, ffcurve
+from shascope import cli, curves, ffcurve, numfield
 from shascope.cli import main
 
 EX3_MIN = "-5316979,-4724275762"
@@ -195,6 +195,54 @@ def test_budget_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "divpoly", "--n", "60", "--curve", "1,1")
     assert code == 3
     assert err
+
+
+def test_top_coefficient_commands_above_the_degree_ceiling(capsys):
+    # f_37, f_38 and f_49 are not built whole; these exited 3 at the degree ceiling
+    for argv in (
+        ("cor-traces", "--ell", "37", "--curve", "1,1"),
+        ("cor-traces", "--ell", "7", "--n", "2", "--curve", "1,1"),
+        ("verify-identities", "--max-n", "38"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert all(v for k, v in doc.items() if k not in ("ell", "n", "lemma5_max_n")), doc
+
+
+def test_top_table_and_alpha_budgets_exit_3(capsys, monkeypatch):
+    # each refused before any primality test or table, so none can hang
+    def is_prime(n):
+        raise AssertionError("primality tested above the ceiling")
+
+    monkeypatch.setattr(numfield, "is_prime", is_prime)
+    m521 = str(2**521 - 1)
+    for argv, message in (
+        (("verify-identities", "--max-n", "10001"), "--max-n 10001 exceeds ceiling 10000"),
+        (("cor-traces", "--ell", "3", "--n", "513", "--curve", "1,1"),
+         "ell^n of up to 1026 bits exceeds ceiling 1024 bits"),
+        (("cor-traces", "--ell", str(2**1024 + 1), "--curve", "1,1"),
+         "ell^n of up to 1025 bits exceeds ceiling 1024 bits"),
+        (("alpha-trace", "--ell", "1009", "--n", "1", "--curve", "1,1"),
+         "ell^n = 1009 exceeds ceiling 300"),
+        (("alpha-trace", "--ell", "19", "--n", "2", "--curve", "1,1"),
+         "ell^n = 361 exceeds ceiling 300"),
+        (("alpha-trace", "--ell", m521, "--n", "1", "--curve", "1,1"),
+         f"ell^n = {m521} exceeds ceiling 300"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (3, "", f"sha-scope: budget exceeded: {message}\n")
+
+
+def test_cor_traces_domain_errors_exit_2(capsys):
+    for argv, message in (
+        (("--n", "0"), "n >= 1 required"),
+        (("--n", "-1"), "n >= 1 required"),
+        (("--ell", "2"), "odd prime ell required"),  # --ell 4 and 9: test_non_prime_ell_exit_2
+    ):
+        ell = () if "--ell" in argv else ("--ell", "5")
+        got = run_cli(capsys, "cor-traces", *ell, *argv, "--curve", "1,1")
+        assert got == (2, "", f"sha-scope: {message}\n")
 
 
 def test_effort_flag_accepted(capsys):

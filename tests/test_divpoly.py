@@ -6,18 +6,19 @@ import sympy
 from shascope.divpoly import (
     DivisionTable,
     ReducedTable,
-    build_phi,
+    TopTable,
     check_lemma5,
     eq46_parts,
-    psi_squared,
     quotient_g,
     symbolic_table,
     torsion_test,
     verify_eq46,
 )
-from shascope.errors import BudgetError, DomainError
+from shascope.errors import BudgetError, DomainError, InvariantViolation
 from shascope.ffcurve import INFINITY, FpCurve, enumerate_points, scalar_mul
 from shascope.poly import QQ, ZZ, ExactPoly, Fp
+
+from divpoly_oracle import build_phi, psi_squared
 
 
 # f_5 for y^2 = x^3 + Ax + B, low-to-high coefficients (independent expansion)
@@ -81,6 +82,51 @@ def test_lemma5_symbolic_small():
     t = symbolic_table()
     for n in range(1, 13):
         assert check_lemma5(t, n)
+
+
+def _top_of_full(full, n):
+    """The top two coefficients of the full table's f_n, leading first, trimmed."""
+    d = full.expected_degree(n)
+    return ExactPoly.make(full.ring, [full.f(n).coeff(d - i) for i in range(min(2, d + 1))])
+
+
+def test_top_table_equals_the_top_of_the_full_table():
+    for A, B in ((1, 1), (-2, 3), (1000, -777)):
+        full, top = DivisionTable(ZZ, A, B), TopTable(ZZ, A, B)
+        for n in range(31):
+            assert top.f(n) == _top_of_full(full, n), (A, B, n)
+    sym = symbolic_table()
+    for n in range(21):
+        assert sym.top.f(n) == _top_of_full(sym, n), n
+
+
+def test_check_lemma5_over_fp_equals_the_full_table_bool():
+    # p | n included: there the X^{d_n} coefficient n vanishes mod p
+    for p in (5, 7):
+        full = DivisionTable(Fp(p), 1, 1)
+        for n in range(1, 31):
+            fn, d = full.f(n), full.expected_degree(n)
+            want = fn.degree() == d and fn.lc() == n % p and (d == 0 or not fn.coeff(d - 1))
+            assert check_lemma5(full, n) == want == (n % p != 0), (p, n)
+
+
+def test_top_table_at_a_large_index_and_its_ceiling():
+    # built bottom-up: n = 7^300 (843 bits) raises no RecursionError
+    assert check_lemma5(symbolic_table(), 7**300)
+    top = TopTable(ZZ, 1, 1)
+    assert top.f(2**1024 - 1).coeffs == (2**1024 - 1,)
+    with pytest.raises(BudgetError, match="f_n for n of 1025 bits exceeds ceiling 1024 bits"):
+        top.f(2**1024)
+    with pytest.raises(DomainError):
+        top.f(-1)
+
+
+def test_recursion_terms_share_a_degree(monkeypatch):
+    # the formal-degree claim reversal rests on, checked at every step: a
+    # degree function that breaks it at n = 5 stops the full table too
+    monkeypatch.setattr(DivisionTable, "expected_degree", staticmethod(lambda n: n))
+    with pytest.raises(InvariantViolation, match="f_5: terms of formal degree"):
+        DivisionTable(ZZ, 1, 1).f(5)
 
 
 def test_degree_ceiling_budget(monkeypatch):

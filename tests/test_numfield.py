@@ -68,12 +68,16 @@ def test_cor6_zero_trace():
         assert cor6_check(CURVE_A, ell, 1)
     assert cor6_check(CURVE_A, 5, 2)
     assert cor6_check(CURVE_B, 5, 2)
+    # above the full table's degree ceiling: f_37, f_49 and f_{7^300}
+    assert cor6_check(CURVE_A, 37, 1) and cor6_check(CURVE_B, 7, 2)
+    assert cor6_check(CURVE_A, 7, 300)
 
 
 def test_cor7_symbolic_and_concrete():
     assert cor7_check(None, 3)
     assert cor7_check(None, 5)
     assert cor7_check(CURVE_A, 5)
+    assert cor7_check(None, 37) and cor7_check(CURVE_B, 37)
 
 
 def test_alpha_trace_direct_is_zero_and_matches_numeric():
