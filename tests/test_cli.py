@@ -370,6 +370,11 @@ POLY_ENGINE_PINS = [
      "21891bbc6acaed80a86658660071e8a994d2eb0b1459beb2edda6069dffd1ced"),
     (("lift", "--p", "7", "--ell", "5", "--curve", EX3_MIN),
      "1dbd003160d164e796757b482e6f05a19fe26be6804e2a79d755342f67f0054b"),
+    # the whole f_37, whose products run the deepest multiply recursion
+    (("divpoly", "--n", "37", "--curve", "1000,-777"),
+     "15e1c6615a39a002fcad9f23267548d9f82c44050cc12cabf8fac4d014b11e6c"),
+    (("divpoly", "--n", "25", "--curve", "-2,3"),
+     "062a364c592c256cbdb117b2977472691d0e691ff8f2ec5ad0cd9c113fcb864f"),
 ]
 
 
