@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Factorization, factorize, legendre, padic_val
+from .arith import Factorization, factorize, is_prime, legendre, padic_val
 from .errors import DomainError, SingularCubicError
 
 
@@ -145,7 +145,14 @@ def p_minimize(model: ShortModel, p: int) -> ShortModel:
 
 
 def _ord(n: int, p: int) -> int | None:
-    return None if n == 0 else padic_val(n, p)
+    """ord_p(n), None for n = 0; p is taken to be prime, unchecked."""
+    if n == 0:
+        return None
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def reduction_report(model: ShortModel, p: int) -> ReductionReport:
@@ -154,15 +161,17 @@ def reduction_report(model: ShortModel, p: int) -> ReductionReport:
     kind: good (ord Delta = 0), multiplicative (ord c4 = 0 < ord Delta),
     additive (both positive). Split/nonsplit for multiplicative p >= 5 by the
     square test on the node's tangent-slope discriminant. Potential type from
-    the sign of ord_p(j) (model-independent).
+    the sign of ord_p(j) (model-independent). p is tested prime once.
     """
+    if p < 2 or not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     m = p_minimize(model, p)
     dp = m.delta_prime()
     if dp == 0:
         raise SingularCubicError(-48 * m.A)
     delta = -16 * dp
     c4 = -48 * m.A
-    ord_delta = padic_val(delta, p)
+    ord_delta = _ord(delta, p)
     ord_c4 = _ord(c4, p)
     ord_j = None if c4 == 0 else 3 * ord_c4 - ord_delta
     potential = "potentiallyGood" if (ord_j is None or ord_j >= 0) else "potentiallyMultiplicative"

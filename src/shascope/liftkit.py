@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import is_prime, padic_val
 from .curves import ShortModel
 from .errors import BudgetError, DomainError, InvariantViolation
-from .ffcurve import ell_primary, group_order, point_order, reduce_curve
+from .ffcurve import ORDER_CEILING, ell_primary, group_order, point_order, reduce_curve
 from .poly import QQ, ZZ, ExactPoly
 
 MAX_HENSEL_DEPTH = 40
@@ -97,7 +97,10 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     part, lifts its y verbatim, and certifies a p-adic root of
     X^3 + AX + B - y^2 above the generator's x. A non-cyclic ell-primary part
     (possible only when p = 1 mod ell) has no generator: DomainError.
+    p above ORDER_CEILING is refused before its probable-prime test.
     """
+    if p > ORDER_CEILING:
+        raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
     if not is_prime(p) or not is_prime(ell):
         raise DomainError("p and ell must be prime")
     _check_precondition(model, p, ell)

@@ -12,6 +12,14 @@ when it is falsy. A Ring supplies only constants (from_int) and exact
 division (exact_div). ExactPoly.make is the one place F_p reduces: products
 and sums run on plain ints and each output coefficient is taken mod p once.
 
+Products over ZZ, F_p and QQ, and the int rows of MPoly, run one integer
+kernel: Karatsuba-Ofman above _KARATSUBA_CUTOFF terms, with a squaring path
+when both operands are the same list, over the schoolbook _mul_rows. Z[A,B]
+products call _mul_rows directly: a0 + a1 would add MPolys of different
+weights. QQ runs on int numerators over one common denominator, products
+through the kernel and divmod_exact by integer pseudo-division, and builds
+one Fraction per output coefficient.
+
 Division is exact-by-construction: divmod steps that would leave the ring
 raise, and exact_div asserts a zero remainder.
 """
@@ -20,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import DomainError, InvariantViolation
 
@@ -86,13 +95,7 @@ class MPoly:
         a, b = self.row, other.row
         if not a or not b:
             return _mpoly(None, ())
-        if len(a) > len(b):
-            a, b = b, a
-        n = len(b)
-        out = [a[0] * d for d in b] + [0] * (len(a) - 1)
-        for i, c in enumerate(a[1:], 1):
-            if c:
-                out[i : i + n] = [o + c * d for o, d in zip(out[i : i + n], b)]
+        out = _kmul(a, b)
         # two odd weights each contribute one B: the product starts at B^2
         if self.w & other.w & 1:
             out.insert(0, 0)
@@ -129,6 +132,109 @@ class MPoly:
             else:
                 parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# ---------------------------------------------------------------------------
+# the multiply kernel
+# ---------------------------------------------------------------------------
+
+# Shorter operands take schoolbook rows; 12, 20 and 32 time within noise of
+# each other on the f_n products of the division recursion.
+_KARATSUBA_CUTOFF = 20
+
+
+def _mul_rows(a, b, zero):
+    """Schoolbook a*b of nonempty coefficient sequences, low degree first.
+
+    When a is b, each cross product a_i a_j (i < j) is formed once and
+    doubled, which halves the multiplications of a square.
+    """
+    n = len(b)
+    if a is b:
+        out = [zero] * (2 * n - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[2 * i] += c * c
+                c += c
+                row = slice(2 * i + 1, i + n)
+                out[row] = [o + c * d for o, d in zip(out[row], a[i + 1 :])]
+        return out
+    out = [a[0] * d for d in b] + [zero] * (len(a) - 1)
+    for i in range(1, len(a)):
+        c = a[i]
+        if c:
+            out[i : i + n] = [o + c * d for o, d in zip(out[i : i + n], b)]
+    return out
+
+
+def _kmul(a, b) -> list:
+    """a*b of nonempty int coefficient sequences by Karatsuba-Ofman.
+
+    The longer operand is cut into chunks as long as the shorter, so every
+    split is balanced; a square (a is b) recurses on squares.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if n < _KARATSUBA_CUTOFF:
+        return _mul_rows(a, b, 0)
+    if m > n:
+        out = [0] * (n + m - 1)
+        for k in range(0, m, n):
+            part = _kmul(a, b[k : k + n])
+            span = slice(k, k + len(part))
+            out[span] = map(add, out[span], part)
+        return out
+    # a = a0 + X^h a1, b = b0 + X^h b1, len(a1) = len(b1) >= h
+    h = n // 2
+    a0, a1 = a[:h], a[h:]
+    sa = [*map(add, a1, a0), *a1[h:]]
+    if a is b:
+        z0, z2, z1 = _kmul(a0, a0), _kmul(a1, a1), _kmul(sa, sa)
+    else:
+        b0, b1 = b[:h], b[h:]
+        sb = [*map(add, b1, b0), *b1[h:]]
+        z0, z2, z1 = _kmul(a0, b0), _kmul(a1, b1), _kmul(sa, sb)
+    # z1 - z0 - z2 = a0 b1 + a1 b0; len(z1) = len(z2) >= len(z0)
+    mid = [*map(sub, map(sub, z1, z2), z0), *map(sub, z1[len(z0) :], z2[len(z0) :])]
+    out = [*z0, 0, *z2]
+    span = slice(h, h + len(mid))
+    out[span] = map(add, out[span], mid)
+    return out
+
+
+def _numerators(cs) -> tuple[int, list]:
+    """(d, [c*d for c in cs]) with d the least common denominator of cs."""
+    d = lcm(*(c.denominator for c in cs))
+    if d == 1:
+        return d, [c.numerator for c in cs]
+    return d, [c.numerator * (d // c.denominator) for c in cs]
+
+
+def _divmod_qq(a, b) -> tuple[list, list]:
+    """Quotient and remainder coefficients of a / b over QQ, deg a >= deg b.
+
+    Integer pseudo-division on the numerators: the remainder is rem / s, and
+    a step whose top coefficient t the divisor's leading numerator L does not
+    divide first scales rem and s by L / gcd(t, L).
+    """
+    s, rem = _numerators(a)
+    db, d = _numerators(b)
+    if d[-1] < 0:  # b = (-d) / (-db), so that L > 0 and L | t needs no scaling
+        db, d = -db, [-y for y in d]
+    dd, lead = len(d) - 1, d[-1]
+    quo = []
+    for k in range(len(rem) - dd - 1, -1, -1):
+        t = rem.pop()
+        quo.append(Fraction(t * db, s * lead))
+        if t:
+            g = gcd(t, lead)
+            u, t = lead // g, t // g
+            if u != 1:
+                rem = [u * x for x in rem]
+                s *= u
+            rem[k : k + dd] = [x - t * y for x, y in zip(rem[k : k + dd], d)]
+    return quo[::-1], [Fraction(x, s) for x in rem]
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +391,15 @@ class ExactPoly:
         return self + (-other)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
-        a, b = self.coeffs, other.coeffs
+        r, a, b = self.ring, self.coeffs, other.coeffs
         if not a or not b:
-            return ExactPoly(self.ring, ())
-        out = [self.ring.from_int(0)] * (len(a) + len(b) - 1)
-        n = len(b)
-        for i, c in enumerate(a):
-            if c:
-                out[i : i + n] = [o + c * d for o, d in zip(out[i : i + n], b)]
-        return ExactPoly.make(self.ring, out)
+            return ExactPoly(r, ())
+        if r is not QQ:  # a square arrives as a is b, which both kernels test
+            return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if r is ZAB else _kmul(a, b))
+        da, na = _numerators(a)
+        db, nb = (da, na) if a is b else _numerators(b)
+        den = da * db
+        return ExactPoly(r, tuple(Fraction(c, den) for c in _kmul(na, nb)))
 
     def scale(self, k) -> "ExactPoly":
         return ExactPoly.make(self.ring, [c * k for c in self.coeffs])
@@ -321,6 +427,7 @@ class ExactPoly:
 
         One quotient coefficient per step; the top term it cancels is dropped
         without being computed, so F_p remainders may run unreduced until make.
+        QQ runs on int numerators (_divmod_qq).
         """
         r = self.ring
         if other.is_zero():
@@ -330,6 +437,9 @@ class ExactPoly:
         rem = list(self.coeffs)
         if len(rem) <= dd:
             return ExactPoly(r, ()), self
+        if r is QQ:
+            quo, rem = _divmod_qq(rem, d)
+            return ExactPoly.make(r, quo), ExactPoly.make(r, rem)
         quo = []
         for k in range(len(rem) - dd - 1, -1, -1):
             c = r.exact_div(rem.pop(), dlc)

@@ -81,6 +81,28 @@ def test_reduction_kinds():
     assert r23.potential == "potentiallyGood"
 
 
+def test_reduction_report_tests_p_prime_once(monkeypatch):
+    # a probable-prime test of a p of thousands of bits takes seconds
+    from shascope import arith, curves
+
+    calls = []
+
+    def counting(n, _is_prime=arith.is_prime):
+        calls.append(n)
+        return _is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(curves, "is_prime", counting)
+    for model, p, kind in ((ShortModel(1, 1), 5, "good"), (ShortModel(1, 1), 31, "multiplicative"),
+                           (EX3_MIN, 23, "additive")):
+        calls.clear()
+        assert reduction_report(model, p).kind == kind
+        assert calls == [p]
+    for p in (1, 8):
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            reduction_report(ShortModel(1, 1), p)
+
+
 def test_reduction_small_prime_caveat():
     r2 = reduction_report(EX3_MIN, 2)
     assert r2.caveat is not None

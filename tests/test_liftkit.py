@@ -60,6 +60,19 @@ def test_lift_plan_p11():
     assert plan.n == 0 and plan.m == 8
 
 
+def test_p_above_the_order_ceiling_is_refused_before_its_primality_test(monkeypatch):
+    from shascope import liftkit
+    from shascope.errors import BudgetError
+
+    def is_prime(n):
+        raise AssertionError("primality tested above the ceiling")
+
+    monkeypatch.setattr(liftkit, "is_prime", is_prime)
+    p = 2**4423 - 1  # a Mersenne prime: a probable-prime test takes seconds
+    with pytest.raises(BudgetError, match=r"ceiling exceeded: p=\d+ > 1000000"):
+        lift_plan(ShortModel(1, 1), p, 5)
+
+
 def test_precondition_names_offending_factor():
     with pytest.raises(DomainError, match="delta'"):
         lift_plan(EX3_MIN, 2, 5)

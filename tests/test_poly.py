@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shascope.errors import DomainError, InvariantViolation
 from shascope.poly import (
+    _KARATSUBA_CUTOFF,
     QQ,
     ZAB,
     ZZ,
@@ -96,6 +97,120 @@ def test_fp_results_are_zz_results_mod_p(p, a, b, low, x):
     for f in (fa + fb, fa * fb, fa.derivative(), fq, fr):
         assert all(0 <= c < p for c in f.coeffs)
         assert f.is_zero() or f.lc() != 0
+
+
+# The multiply kernel against a naive double loop: signed coefficients up
+# to 2^600, lengths from 1 to four times the Karatsuba cutoff in either
+# order (so unbalanced shapes are chunked), and squares a * a.
+
+
+def naive_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+big_ints = st.integers(-(2**600), 2**600) | st.sampled_from([-1, 0, 1])
+
+
+@st.composite
+def sized_lists(draw, elements, most):
+    """A list whose length is uniform in 1..most (st.lists favours short ones)."""
+    n = draw(st.integers(1, most))
+    return draw(st.lists(elements, min_size=n, max_size=n))
+
+
+kernel_lists = sized_lists(big_ints, 4 * _KARATSUBA_CUTOFF)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=kernel_lists, b=kernel_lists, square=st.booleans())
+def test_zz_product_matches_naive_double_loop(a, b, square):
+    pa = P(*a)
+    pb = pa if square else P(*b)
+    if pa.is_zero() or pb.is_zero():
+        assert (pa * pb).is_zero()
+        return
+    want = naive_mul(pa.coeffs, pb.coeffs, 0)
+    assert (pa * pb).coeffs == tuple(want)
+    assert (pb * pa).coeffs == tuple(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 101, 1000003, 2**61 - 1]),
+    a=kernel_lists,
+    b=kernel_lists,
+    square=st.booleans(),
+)
+def test_fp_product_matches_naive_double_loop(p, a, b, square):
+    F = Fp(p)
+    pa = ExactPoly.from_ints(F, a)
+    pb = pa if square else ExactPoly.from_ints(F, b)
+    want = naive_mul(pa.coeffs, pb.coeffs, 0) if pa.coeffs and pb.coeffs else []
+    prod = pa * pb
+    assert prod == ExactPoly.from_ints(F, want)
+    assert all(0 <= c < p for c in prod.coeffs)
+
+
+fractions = st.builds(
+    Fraction, st.integers(-(2**200), 2**200), st.integers(1, 10**6) | st.sampled_from([1, 2**100 + 1])
+)
+qq_lists = sized_lists(fractions, 3 * _KARATSUBA_CUTOFF)
+
+
+def Q(cs):
+    return ExactPoly.make(QQ, cs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=qq_lists, b=qq_lists, square=st.booleans())
+def test_qq_product_matches_naive_double_loop(a, b, square):
+    pa = Q(a)
+    pb = pa if square else Q(b)
+    prod = pa * pb
+    want = naive_mul(pa.coeffs, pb.coeffs, Fraction(0)) if pa.coeffs and pb.coeffs else []
+    assert prod == Q(want)
+    assert all(type(c) is Fraction for c in prod.coeffs)
+
+
+def fraction_long_division(a, b):
+    """(q, r) with a = q b + r, one Fraction step per quotient coefficient."""
+    rem, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = q[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return q, rem[: len(b) - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=qq_lists, b=sized_lists(fractions, _KARATSUBA_CUTOFF))
+def test_qq_divmod_matches_fraction_long_division(a, b):
+    pa, pb = Q(a), Q(b)
+    if pb.is_zero():
+        return
+    q, r = pa.divmod_exact(pb)
+    wq, wr = fraction_long_division(pa.coeffs, pb.coeffs)
+    assert (q, r) == (Q(wq), Q(wr))
+    assert q * pb + r == pa and r.degree() < pb.degree()
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
+
+
+def test_symbolic_square_matches_product_of_equal_operands():
+    # a square takes the doubled cross products of _mul_rows, over Z[A,B]
+    # and over the int rows of MPoly
+    A, B = MPoly(2, [1]), MPoly(3, [1])
+    zero = ZAB.from_int(0)
+    # the X^k coefficient has weight 8 - k, as in f_n, so every sum is homogeneous
+    f = ExactPoly.make(ZAB, [A * A * A * A - 3 * A * B * B, 2 * A * A * B, B * B, 4 * A * B, -(A * A), 5 * B, A, zero, ZAB.from_int(2)])
+    g = ExactPoly(ZAB, tuple(MPoly(c.w, c.row) if c else c for c in f.coeffs))
+    assert f.coeffs is not g.coeffs
+    assert f * f == f * g
+    big = MPoly(6 * 3 * _KARATSUBA_CUTOFF, range(1, 3 * _KARATSUBA_CUTOFF))  # a row past the cutoff
+    assert mapped_back(big * big) == sparse_mul(mapped_back(big), mapped_back(big))
 
 
 def test_poly_gcd_qq():
