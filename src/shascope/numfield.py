@@ -196,7 +196,7 @@ def _inverse_root_sum(model: ShortModel, ell: int, n: int, h: ExactPoly) -> Frac
     """
     K = QuotRing(h)
     M = K.g * K.g
-    # over ZZ when M is integral (it is for psi): ~10x faster than over QQ
+    # over ZZ when M is integral (it is for psi): about 2x faster than over QQ
     ring = ZZ if all(c.denominator == 1 for c in M.coeffs) else QQ
     M = M.map_coeffs(ring, ring.from_int)
     table = ReducedTable(ring, ring.from_int(model.A), ring.from_int(model.B), M)
