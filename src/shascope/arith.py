@@ -233,10 +233,13 @@ def _trial_divide(n: int, found: dict[int, int], blocks: range) -> int:
 
 
 def padic_val(n: int, p: int) -> int:
-    """Largest e with p**e | n, for n != 0 and p prime."""
+    """Largest e with p**e | n, for n != 0 and p >= 2.
+
+    Callers pass a p they have tested prime, so p is not tested again here.
+    """
     if n == 0:
         raise DomainError("valuation of 0 is infinite")
-    if p < 2 or not is_prime(p):
+    if p < 2:
         raise DomainError(f"{p} is not prime")
     e = 0
     n = abs(n)

@@ -145,14 +145,7 @@ def p_minimize(model: ShortModel, p: int) -> ShortModel:
 
 
 def _ord(n: int, p: int) -> int | None:
-    """ord_p(n), None for n = 0; p is taken to be prime, unchecked."""
-    if n == 0:
-        return None
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    return None if n == 0 else padic_val(n, p)
 
 
 def reduction_report(model: ShortModel, p: int) -> ReductionReport:
@@ -171,7 +164,7 @@ def reduction_report(model: ShortModel, p: int) -> ReductionReport:
         raise SingularCubicError(-48 * m.A)
     delta = -16 * dp
     c4 = -48 * m.A
-    ord_delta = _ord(delta, p)
+    ord_delta = padic_val(delta, p)
     ord_c4 = _ord(c4, p)
     ord_j = None if c4 == 0 else 3 * ord_c4 - ord_delta
     potential = "potentiallyGood" if (ord_j is None or ord_j >= 0) else "potentiallyMultiplicative"
