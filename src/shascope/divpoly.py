@@ -105,19 +105,22 @@ class DivisionTable:
         """f_n for n >= 5 by the f_{2m} / f_{2m+1} recursion over self.f."""
         f, d = self.f, self.expected_degree
         m = n // 2
-        # squares are formed as x * x, which the multiply kernel squares
+        # Squares are formed as x * x, which the multiply kernels square. The
+        # other factors join one at a time: over Z[A,B], whose products stay
+        # schoolbook, pairing two large products instead cost 1.5x.
         if n % 2 == 0:
             t = f(m + 2) * (f(m - 1) * f(m - 1)) - f(m - 2) * (f(m + 1) * f(m + 1))
             _same_degree(n, d(m) + d(m + 2) + 2 * d(m - 1), d(m) + d(m - 2) + 2 * d(m + 1))
             return self._reduce(f(m) * t).exact_div_scalar(self.ring.from_int(2))
-        a, b = f(m + 2) * f(m), f(m + 1) * f(m - 1)
+        a = f(m + 2) * (f(m) * f(m)) * f(m)
+        b = f(m + 1) * (f(m + 1) * f(m + 1)) * f(m - 1)
         da, db = d(m + 2) + 3 * d(m), 3 * d(m + 1) + d(m - 1)
         if m % 2 == 0:
             a, da = a * self._psi2, da + 6
         else:
             b, db = b * self._psi2, db + 6
         _same_degree(n, da, db)
-        return self._reduce(a * (f(m) * f(m)) - b * (f(m + 1) * f(m + 1)))
+        return self._reduce(a - b)
 
     def _reduce(self, val: ExactPoly) -> ExactPoly:
         return val
