@@ -441,7 +441,7 @@ class ExactPoly:
 
         One quotient coefficient per step; the top term it cancels is dropped
         without being computed, so F_p remainders may run unreduced until make.
-        QQ runs on int numerators (_divmod_qq).
+        QQ below _QQ_KERNEL_DEN_BITS runs integer pseudo-division (_divmod_qq).
         """
         r = self.ring
         if other.is_zero():

@@ -210,7 +210,9 @@ def test_symbolic_square_matches_product_of_equal_operands():
     A, B = MPoly(2, [1]), MPoly(3, [1])
     zero = ZAB.from_int(0)
     # the X^k coefficient has weight 8 - k, as in f_n, so every sum is homogeneous
-    f = ExactPoly.make(ZAB, [A * A * A * A - 3 * A * B * B, 2 * A * A * B, B * B, 4 * A * B, -(A * A), 5 * B, A, zero, ZAB.from_int(2)])
+    f = ExactPoly.make(
+        ZAB, [A * A * A * A - 3 * A * B * B, 2 * A * A * B, B * B, 4 * A * B, -(A * A), 5 * B, A, zero, ZAB.from_int(2)]
+    )
     g = ExactPoly(ZAB, tuple(MPoly(c.w, c.row) if c else c for c in f.coeffs))
     assert f.coeffs is not g.coeffs
     assert f * f == f * g
