@@ -18,8 +18,7 @@ when both operands are the same list, over the schoolbook _mul_rows. Z[A,B]
 products call _mul_rows directly: a0 + a1 would add MPolys of different
 weights. QQ runs on int numerators over one common denominator, products
 through the kernel and divmod_exact by integer pseudo-division, and builds
-one Fraction per output coefficient; past _QQ_KERNEL_DEN_BITS of
-denominator it keeps Fraction arithmetic.
+one Fraction per output coefficient.
 
 Division is exact-by-construction: divmod steps that would leave the ring
 raise, and exact_div asserts a zero remainder.
@@ -202,17 +201,6 @@ def _kmul(a, b) -> list:
     span = slice(h, h + len(mid))
     out[span] = map(add, out[span], mid)
     return out
-
-
-# QQ takes the integer kernel while every denominator fits in this many bits.
-# Above it, Fraction arithmetic, which cancels each product against the
-# denominators at operand size, beats one normalisation of each output at
-# twice that size.
-_QQ_KERNEL_DEN_BITS = 1024
-
-
-def _small_denominators(cs) -> bool:
-    return all(c.denominator.bit_length() <= _QQ_KERNEL_DEN_BITS for c in cs)
 
 
 def _numerators(cs) -> tuple[int, list]:
@@ -406,14 +394,12 @@ class ExactPoly:
         r, a, b = self.ring, self.coeffs, other.coeffs
         if not a or not b:
             return ExactPoly(r, ())
-        if r is QQ and _small_denominators(a) and _small_denominators(b):
-            da, na = _numerators(a)
-            db, nb = (da, na) if a is b else _numerators(b)
-            den = da * db
-            return ExactPoly(r, tuple(Fraction(c, den) for c in _kmul(na, nb)))
-        # a square arrives as a is b, which both kernels test
-        rows = r is ZAB or r is QQ
-        return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if rows else _kmul(a, b))
+        if r is not QQ:  # a square arrives as a is b, which both kernels test
+            return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if r is ZAB else _kmul(a, b))
+        da, na = _numerators(a)
+        db, nb = (da, na) if a is b else _numerators(b)
+        den = da * db
+        return ExactPoly(r, tuple(Fraction(c, den) for c in _kmul(na, nb)))
 
     def scale(self, k) -> "ExactPoly":
         return ExactPoly.make(self.ring, [c * k for c in self.coeffs])
@@ -441,7 +427,7 @@ class ExactPoly:
 
         One quotient coefficient per step; the top term it cancels is dropped
         without being computed, so F_p remainders may run unreduced until make.
-        QQ below _QQ_KERNEL_DEN_BITS runs integer pseudo-division (_divmod_qq).
+        QQ runs integer pseudo-division (_divmod_qq).
         """
         r = self.ring
         if other.is_zero():
@@ -451,7 +437,7 @@ class ExactPoly:
         rem = list(self.coeffs)
         if len(rem) <= dd:
             return ExactPoly(r, ()), self
-        if r is QQ and _small_denominators(rem) and _small_denominators(d):
+        if r is QQ:
             quo, rem = _divmod_qq(rem, d)
             return ExactPoly.make(r, quo), ExactPoly.make(r, rem)
         quo = []
