@@ -22,6 +22,12 @@ ORDER_CEILING = 10**6  # largest p whose O(p) squares table is built
 INFINITY = None  # point at infinity sentinel
 
 
+def check_order_ceiling(p: int) -> None:
+    """BudgetError when p is past ORDER_CEILING."""
+    if p > ORDER_CEILING:
+        raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
+
+
 @dataclass(frozen=True)
 class FpCurve:
     """y^2 = x^3 + Ax + B over F_p. The squares table and #E(F_p) are
@@ -62,8 +68,7 @@ class FpCurve:
           so at most 4n/9 - 1 < (n - 1)/2 nonzero ones.
         """
         p = self.p
-        if p > ORDER_CEILING:
-            raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
+        check_order_ceiling(p)
         t = bytearray(p)
         t[0] = 1
         for y in range(1, (p + 1) // 2):

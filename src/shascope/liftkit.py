@@ -17,7 +17,7 @@ from fractions import Fraction
 from .arith import is_prime, padic_val
 from .curves import ShortModel
 from .errors import BudgetError, DomainError, InvariantViolation
-from .ffcurve import ORDER_CEILING, ell_primary, group_order, point_order, reduce_curve
+from .ffcurve import check_order_ceiling, ell_primary, group_order, point_order, reduce_curve
 from .poly import QQ, ZZ, ExactPoly
 
 MAX_HENSEL_DEPTH = 40
@@ -99,8 +99,7 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     (possible only when p = 1 mod ell) has no generator: DomainError.
     p above ORDER_CEILING is refused before its probable-prime test.
     """
-    if p > ORDER_CEILING:
-        raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
+    check_order_ceiling(p)
     if not is_prime(p) or not is_prime(ell):
         raise DomainError("p and ell must be prime")
     _check_precondition(model, p, ell)
