@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shascope import numfield
 from shascope.curves import ShortModel
-from shascope.divpoly import DivisionTable, quotient_g
+from shascope.divpoly import DivisionTable, quotient_g, symbolic_table
 from shascope.errors import DomainError, InvariantViolation, NotInvertibleError
 from shascope.numfield import (
     QuotRing,
@@ -154,3 +154,74 @@ def test_alpha_trace_preconditions():
         alpha_trace_direct(CURVE_A, 3, 1)  # ell too small
     with pytest.raises(DomainError):
         alpha_trace_direct(CURVE_A, 5, 3)  # level too deep
+
+
+class _PerturbedTable:
+    """A real DivisionTable whose f(ell) returns f_ell + delta.
+
+    A wrapper, not a subclass: the table's own recursion still reads the
+    exact f_k, so only the f_ell that the caller sees is perturbed.
+    """
+
+    def __init__(self, table, ell, delta):
+        self._table, self._ell, self._delta = table, ell, delta
+
+    def f(self, n):
+        fn = self._table.f(n)
+        return fn + self._delta if n == self._ell else fn
+
+    def __getattr__(self, name):
+        return getattr(self._table, name)
+
+
+def _step8_oracle(model, ell, delta):
+    """ell^3 delta' / (ell^2 d) * sum over psi(e) = 0, g(lam) = 0 of
+    -(h0(e) - lam t(e)) / ((e - lam) f(e)^2 psi'(e)), with f = f_ell + delta,
+    by mpmath roots at 60 digits."""
+    table = DivisionTable(ZZ, model.A, model.B)
+    f = table.f(ell) + delta
+    fm, fp = table.f(ell - 1), table.f(ell + 1)
+
+    def ev(p, x):
+        return mp.polyval([mp.mpf(c) for c in reversed(p.coeffs)], x)
+
+    with mp.workdps(60):
+        es = mp.polyroots([1, 0, model.A, model.B], maxsteps=200, extraprec=200)
+        lams = mp.polyroots([mp.mpf(c) for c in reversed(f.coeffs)], maxsteps=400, extraprec=800)
+        total = mp.mpc(0)
+        for e in es:
+            fe, fde = ev(f, e), ev(f.derivative(), e)
+            h0 = fe**2 + 2 * e * fe * fde - ev(fm, e) * ev(fp, e) * (3 * e**2 + model.A)
+            t = 2 * fe * fde
+            for lam in lams:
+                total -= (h0 - lam * t) / ((e - lam) * fe**2 * (3 * e**2 + model.A))
+        d = f.degree()
+        return mp.mpf(ell**3 * model.delta_prime()) / (ell**2 * d) * total
+
+
+@pytest.mark.parametrize("delta", [(1, 1), (0, 0, 3)], ids=["1+X", "3X^2"])
+def test_alpha_trace_step8_nonzero_on_a_perturbed_f_ell(monkeypatch, delta):
+    # step 8 is 0 on every curve, because f_ell'(e) = 0 at each root e of psi
+    # (see test_f_n_derivative_vanishes_mod_psi_for_odd_n); with f_ell + delta
+    # in place of f_ell its value is nonzero and must match the root-by-root sum
+    dpoly = ExactPoly.from_ints(ZZ, list(delta))
+    for ell in (5, 7):
+        monkeypatch.setattr(
+            numfield, "DivisionTable", lambda ring, A, B: _PerturbedTable(DivisionTable(ring, A, B), ell, dpoly)
+        )
+        for model in (CURVE_A, CURVE_B):
+            got = alpha_trace_step8(model, ell)
+            want = _step8_oracle(model, ell, dpoly)
+            assert got != 0
+            with mp.workdps(60):
+                assert abs(want.imag) < mp.mpf(10) ** -40 * abs(want)
+                assert abs(mp.mpf(got.numerator) / got.denominator - want.real) < mp.mpf(10) ** -30 * abs(want)
+
+
+def test_f_n_derivative_vanishes_mod_psi_for_odd_n():
+    # why step 8 is 0: f_n'(e) = 0 at every root e of psi for odd n, over
+    # Z[A,B]; for even n >= 4 (f_n = psi_n / y) it does not vanish
+    table = symbolic_table()
+    for n in [*range(1, 16, 2), *range(4, 15, 2)]:
+        r = table.f(n).derivative().mod(table.psi)
+        assert r.is_zero() == (n % 2 == 1), n
