@@ -9,10 +9,8 @@ Q[Y]/(psi): sum 1/psi(r) = -Tr(g'/(psi' g)), with g'/g read off the f_k
 reduced mod psi^2 along the division recursion, so g (degree 300 at
 (ell, n) = (5, 2)) is never built. The checks that stay: psi squarefree,
 f_{ell^k} invertible mod psi, and S = 0, which alpha_trace_direct proves
-for every curve, ell and n. The closed form works in the tensor ring
-Q[Y,L]/(psi(Y), g_ell(L)), where traces of monomials Y^j L^a factor as
-products of per-factor power sums and 1/(Y-L) comes from the difference
-quotient of g_ell.
+for every curve, ell and n. The level-2 closed form sums over the roots of
+g_ell by the same logarithmic derivative, as one trace in Q[Y]/(psi).
 """
 
 from __future__ import annotations
@@ -256,76 +254,51 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     return AlphaTraceResult(ell, n, S, degree)
 
 
-def _phi_prime_parts(table: DivisionTable, ell: int, psi_ring: QuotRing):
-    """h0(Y), t(Y) with Phi'_ell(Y, L) = h0(Y) - L*t(Y) in Q[Y]/(psi).
-
-    h0 = f_ell^2 + 2Y f_ell f_ell' - f_{ell-1} f_{ell+1} (3Y^2 + A),
-    t = 2 f_ell f_ell'.
-    """
-    f_ell = table.f(ell).map_coeffs(QQ, Fraction)
-    f_m = table.f(ell - 1).map_coeffs(QQ, Fraction)
-    f_p = table.f(ell + 1).map_coeffs(QQ, Fraction)
-    fd = f_ell.derivative()
-    Y = ExactPoly.x(QQ)
-    A = Fraction(table.A)
-    three_y2_A = ExactPoly.make(QQ, [A, Fraction(0), Fraction(3)])
-    h0 = f_ell * f_ell + Y.scale(Fraction(2)) * f_ell * fd - f_m * f_p * three_y2_A
-    t = (f_ell * fd).scale(Fraction(2))
-    return psi_ring.reduce(h0), psi_ring.reduce(t)
-
-
 def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
-    """Level-2 prediction of S from the closed form over psi's splitting data.
+    """Level-2 prediction of S from the closed form at the roots of psi.
 
-    For each root e of psi and each root lam of g_ell, the fiber above lam
-    contributes  -Phi'_ell(e, lam) / ((e - lam) f_ell(e)^2)  to the trace of
-    1/(x - e); partial fractions 1/psi = sum_i (1/psi'(e_i)) / (x - e_i)
-    assemble S without ever building g_{ell^2}. All sums over (e, lam) pairs
-    are traces in Q[Y, L]/(psi(Y), g_ell(L)), computed via factored power sums.
+    For each root e of psi and each root lam of g_ell = f_ell / ell, the fiber
+    above lam contributes  -Phi'_ell(e, lam) / ((e - lam) f_ell(e)^2)  to the
+    sum of 1/(x - e), with Phi'_ell(Y, L) = h0(Y) - L t(Y),
+
+        h0 = f_ell^2 + 2Y f_ell f_ell' - f_{ell-1} f_{ell+1} psi',
+        t  = 2 f_ell f_ell';
+
+    partial fractions 1/psi = sum_i (1/psi'(e_i)) / (x - e_i) assemble S
+    without ever building g_{ell^2}. With f = f_ell of degree d, the sums over
+    lam are logarithmic derivatives, as in alpha_trace_direct:
+    sum 1/(e - lam) = f'(e)/f(e) and sum lam/(e - lam) = -d + e f'(e)/f(e).
+    So the double sum is one trace in K = Q[Y]/(psi),
+
+        Tr_K([t (Y f' - d f) - h0 f'] / (psi' f^3)),
+
+    counting the roots of f with multiplicity (f is squarefree anyway; see
+    alpha_trace_direct). NotInvertibleError means f_ell shares a root with psi.
+
+    The value is 0 on every curve: f_n'(e) = 0 at every root e of psi for odd
+    n. With sigma the Weierstrass sigma function and omega a period with
+    x(omega/2) = e:
+    1. psi_n(z) = sigma(nz) / sigma(z)^(n^2).
+    2. By quasi-periodicity, log psi_n(omega/2 + u) = L(nu) - n^2 L(u)
+       + (terms linear in u) + const, with L(u) = log sigma(omega/2 + u);
+       the u^2 term cancels.
+    3. For odd n, psi_n(omega/2 + u) = f_n(x(omega/2 + u)) is even in u, and
+       x - e = c u^2 + O(u^4) with c != 0, so that u^2 coefficient is
+       c f_n'(e) / f_n(e). It is 0, so f_n'(e) = 0.
+    The numerator above is f'(f_{ell-1} f_{ell+1} psi' - (2d + 1) f^2), so
+    every term carries f_ell'(e).
     """
     dp = _check_alpha_pre(model, ell, 1)
     table = DivisionTable(ZZ, model.A, model.B)
-    psi_q = ExactPoly.from_ints(QQ, [model.B, model.A, 0, 1])
-    K = QuotRing(psi_q)  # Q[Y]/(psi); a product of fields since psi squarefree
-
-    g_ell = table.f(ell).map_coeffs(QQ, Fraction)
-    G = QuotRing(g_ell)
-    gm = G.g  # monic
-    dg = G.degree
-
-    # inverses in K
-    inv_psi_d = invert_mod(K, psi_q.derivative())  # A(Y) = 1/psi'(Y)
-    f_ell_q = table.f(ell).map_coeffs(QQ, Fraction)
-    inv_f2 = invert_mod(K, K.reduce(f_ell_q * f_ell_q))
-    inv_gY = invert_mod(K, K.reduce(gm))  # 1/g_ell(Y), exists: torsion x's differ
-
-    h0, t = _phi_prime_parts(table, ell, K)
-
-    # (Y - L)^{-1} = Q(L, Y) / g(Y) with Q = (g(L) - g(Y)) / (L - Y):
-    # coefficient of L^a is q_a(Y) = sum_{k > a} g_k Y^{k-1-a}
-    c = gm.coeffs
-    q_lambda: list[ExactPoly] = []
-    for a in range(dg):
-        q_lambda.append(K.reduce(ExactPoly.make(QQ, list(c[a + 1 :]))))
-
-    # F(Y, L) = A(Y) f_ell(Y)^{-2} (-h0(Y) + L t(Y)) * Q(L, Y) * g(Y)^{-1}
-    prefix = K.reduce(inv_psi_d * inv_f2 * inv_gY)
-    m_h0 = K.reduce(prefix * h0)
-    m_t = K.reduce(prefix * t)
-    # L-coefficients of F: a ranges to dg (from the extra L in the t term)
-    coeffs_L: dict[int, ExactPoly] = {}
-    for a in range(dg):
-        coeffs_L[a] = K.reduce(-(m_h0 * q_lambda[a]))
-    for a in range(dg):
-        prev = coeffs_L.get(a + 1, ExactPoly.make(QQ, []))
-        coeffs_L[a + 1] = K.reduce(prev + m_t * q_lambda[a])
-
-    ps_g = G.power_sums(dg)
-    total = Fraction(0)
-    for a, coef in coeffs_L.items():
-        tr_k = trace_in_ring(K, coef)
-        if tr_k:
-            total += tr_k * ps_g[a]
-
-    deg_level2 = ell * ell * dg  # deg g_{ell^2}
-    return Fraction(ell**3 * dp) * total / deg_level2
+    psi = ExactPoly.from_ints(QQ, [model.B, model.A, 0, 1])
+    K = QuotRing(psi)  # Q[Y]/(psi); a product of fields since psi squarefree
+    f = table.f(ell)
+    d = f.degree()
+    psi_d = psi.derivative()
+    f, fd, f_m, f_p = (K.reduce(g) for g in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1)))
+    Y = ExactPoly.x(QQ)
+    h0 = f * f + (Y * f * fd).scale(2) - f_m * f_p * psi_d
+    t = (f * fd).scale(2)
+    numer = t * (Y * fd - f.scale(d)) - h0 * fd
+    total = trace_in_ring(K, numer * invert_mod(K, psi_d * f * f * f))
+    return Fraction(ell**3 * dp) * total / (ell * ell * d)  # deg g_{ell^2} = ell^2 d
