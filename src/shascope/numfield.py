@@ -190,7 +190,8 @@ def _inverse_root_sum(model: ShortModel, ell: int, n: int, h: ExactPoly) -> Frac
     g'/g = f'_{ell^n}/f_{ell^n} - f'_{ell^(n-1)}/f_{ell^(n-1)}. The values
     f_k(e), f'_k(e) at the roots e of h are those of R_k = f_k mod h^2 and
     R'_k, since f_k - R_k vanishes to order 2 there. NotInvertibleError means
-    some f_k shares a root with h.
+    some f_k shares a root with h. With F = R_{ell^n} and f = R_{ell^(n-1)},
+    g'/g = (F' f - f' F) / (F f), so one inverse, of F f h', serves.
     """
     K = QuotRing(h)
     M = K.g * K.g
@@ -198,14 +199,10 @@ def _inverse_root_sum(model: ShortModel, ell: int, n: int, h: ExactPoly) -> Frac
     ring = ZZ if all(c.denominator == 1 for c in M.coeffs) else QQ
     M = M.map_coeffs(ring, ring.from_int)
     table = ReducedTable(ring, ring.from_int(model.A), ring.from_int(model.B), M)
-
-    def log_derivative(k: int) -> ExactPoly:  # f'_k / f_k in K
-        R = table.f(k).map_coeffs(QQ, Fraction)
-        return R.derivative() * invert_mod(K, R)
-
-    g_log = log_derivative(ell**n) - log_derivative(ell ** (n - 1))
+    F, f = (table.f(k).map_coeffs(QQ, Fraction) for k in (ell**n, ell ** (n - 1)))
     h_d = h.map_coeffs(QQ, Fraction).derivative()
-    return -trace_in_ring(K, g_log * invert_mod(K, h_d))
+    numer = F.derivative() * f - f.derivative() * F
+    return -trace_in_ring(K, numer * invert_mod(K, F * f * h_d))
 
 
 def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
