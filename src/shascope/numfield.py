@@ -82,8 +82,7 @@ class QuotRing:
         p = self._psums
         for k in range(len(p), upto + 1):
             s = Fraction(0)
-            top = min(k - 1, d) if k <= d else d
-            for i in range(1, top + 1):
+            for i in range(1, min(k - 1, d) + 1):
                 s += c[d - i] * p[k - i]
             if k <= d:
                 s += k * c[d - k]

@@ -469,23 +469,6 @@ class ExactPoly:
     def map_coeffs(self, target: Ring, fn) -> "ExactPoly":
         return ExactPoly.make(target, [fn(c) for c in self.coeffs])
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
-            if not c:
-                continue
-            term = f"({c})" if not isinstance(c, (int, Fraction)) else str(c)
-            if i > 1:
-                parts.append(f"{term}*X^{i}")
-            elif i == 1:
-                parts.append(f"{term}*X")
-            else:
-                parts.append(term)
-        return "Poly(" + " + ".join(parts) + f" over {self.ring.name})"
-
 
 def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     """Monic gcd in QQ[X] or F_p[X] (the zero polynomial when a = b = 0)."""
