@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from shascope.errors import DomainError, InvariantViolation
@@ -123,9 +123,12 @@ def sized_lists(draw, elements, most):
 
 
 kernel_lists = sized_lists(big_ints, 4 * _KARATSUBA_CUTOFF)
+# The kernel tests keep their examples but skip shrinking: shrinking lists of
+# up to 80 ints of 600 bits takes minutes to report a failure.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(a=kernel_lists, b=kernel_lists, square=st.booleans())
 def test_zz_product_matches_naive_double_loop(a, b, square):
     pa = P(*a)
@@ -138,7 +141,7 @@ def test_zz_product_matches_naive_double_loop(a, b, square):
     assert (pb * pa).coeffs == tuple(want)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(
     p=st.sampled_from([2, 3, 101, 1000003, 2**61 - 1]),
     a=kernel_lists,
@@ -165,7 +168,7 @@ def Q(cs):
     return ExactPoly.make(QQ, cs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(a=qq_lists, b=qq_lists, square=st.booleans())
 def test_qq_product_matches_naive_double_loop(a, b, square):
     pa = Q(a)
@@ -186,7 +189,7 @@ def fraction_long_division(a, b):
     return q, rem[: len(b) - 1]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(a=qq_lists, b=sized_lists(fractions, _KARATSUBA_CUTOFF))
 def test_qq_divmod_matches_fraction_long_division(a, b):
     pa, pb = Q(a), Q(b)
