@@ -291,7 +291,7 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     f = table.f(ell)
     d = f.degree()
     psi_d = psi.derivative()
-    f, fd, f_m, f_p = (K.reduce(g) for g in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1)))
+    f, fd, f_m, f_p = (K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1)))
     Y = ExactPoly.x(QQ)
     h0 = f * f + (Y * f * fd).scale(2) - f_m * f_p * psi_d
     t = (f * fd).scale(2)
