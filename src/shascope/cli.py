@@ -214,7 +214,8 @@ def _run(args) -> None:
         if args.step8:
             pred = numfield.alpha_trace_step8(model, args.ell)
             out["step8_prediction"] = pred
-            out["step8_matches"] = args.n == 2 and pred == res.S
+            if args.n == 2:
+                out["step8_matches"] = pred == res.S
         _emit(out)
 
     elif args.command == "lift":

@@ -129,12 +129,12 @@ def scalar_mul(curve: FpCurve, k: int, P):
     if k < 0:
         return scalar_mul(curve, -k, neg(curve, P))
     R = INFINITY
-    Q = P
     while k:
         if k & 1:
-            R = add(curve, R, Q)
-        Q = add(curve, Q, Q)
+            R = add(curve, R, P)
         k >>= 1
+        if k:
+            P = add(curve, P, P)
     return R
 
 

@@ -124,6 +124,27 @@ def test_factorize_sweeps_only_what_rho_gave_up_on(monkeypatch):
     assert sweeps == [n]
 
 
+def test_factorize_pm1_stage_before_rho(monkeypatch):
+    rho_calls = []
+    brent_rho = arith._brent_rho
+
+    def counted(n, rng, max_iters):
+        rho_calls.append(n)
+        return brent_rho(n, rng, max_iters)
+
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    # 1000033 - 1 = 2**5 * 3 * 11 * 947 is 1000-smooth, 1000003 - 1 = 2 * 3 * 166667 is not:
+    # one modular power splits the product
+    _assert_factorization(1000003 * 1000033, factorize(1000003 * 1000033, effort=50))
+    assert rho_calls == []
+    # both p - 1 smooth (1000037 - 1 = 2**2 * 29 * 37 * 233), so the gcd is the whole
+    # cofactor; neither smooth (1000039 - 1 = 2 * 3 * 13 * 12821), so it is 1: rho splits both
+    for n in (1000033 * 1000037, 1000003 * 1000039):
+        rho_calls.clear()
+        _assert_factorization(n, factorize(n, effort=50))
+        assert rho_calls and rho_calls[0] == n
+
+
 def test_factorize_sign_and_unit():
     fac = factorize(-12)
     assert fac.unit == -1

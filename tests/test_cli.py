@@ -323,12 +323,16 @@ def test_non_prime_ell_exit_2(capsys):
 
 def test_alpha_trace_stdout_pinned(capsys):
     n1 = '{"S":{"den":1,"num":0},"degree":12,"ell":5,"n":1}\n'
+    # step 8 predicts the level-2 sum, so only n = 2 has a step8_matches key
+    n1_step8 = '{"S":{"den":1,"num":0},"degree":12,"ell":5,"n":1,"step8_prediction":{"den":1,"num":0}}\n'
     n2 = (
         '{"S":{"den":1,"num":0},"degree":300,"ell":5,"n":2,"step8_matches":true,'
         '"step8_prediction":{"den":1,"num":0}}\n'
     )
     for curve in ("1,1", "-2,3"):
         assert run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "1", "--curve", curve) == (0, n1, "")
+        got = run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "1", "--step8", "--curve", curve)
+        assert got == (0, n1_step8, "")
         got = run_cli(capsys, "alpha-trace", "--ell", "5", "--n", "2", "--step8", "--curve", curve)
         assert got == (0, n2, "")
     # ell in {7, 11, 13} divides neither delta' = -16*31 nor -16*211

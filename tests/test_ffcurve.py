@@ -1,5 +1,6 @@
 import pytest
 
+from shascope import ffcurve
 from shascope.arith import is_prime, padic_val
 from shascope.curves import ShortModel
 from shascope.errors import BadReductionError, BudgetError, DomainError
@@ -66,6 +67,32 @@ def test_group_law_against_brute_force_cayley():
         for Q in pts[:5]:
             for R in pts[:5]:
                 assert add(c, add(c, P, Q), R) == add(c, P, add(c, Q, R))
+
+
+def test_scalar_mul_matches_repeated_add(monkeypatch):
+    # y^2 = x^3 + 2x + 3 over F_13: 18 points, (12, 0) of order 2
+    c = FpCurve(13, 2, 3)
+    pts = enumerate_points(c)
+    assert (12, 0) in pts
+    for P in pts:
+        multiples = [INFINITY]
+        for _ in range(30):
+            multiples.append(add(c, multiples[-1], P))
+        for k in range(-30, 31):
+            want = multiples[k] if k >= 0 else neg(c, multiples[-k])
+            assert scalar_mul(c, k, P) == want, (P, k)
+    # one doubling per bit below the top one, one addition per set bit
+    calls = []
+
+    def counted(curve, P, Q):
+        calls.append(1)
+        return add(curve, P, Q)
+
+    monkeypatch.setattr(ffcurve, "add", counted)
+    for k in range(1, 31):
+        calls.clear()
+        scalar_mul(c, k, (0, 4))
+        assert len(calls) == k.bit_length() - 1 + k.bit_count(), k
 
 
 def test_point_order_divides_group_order():
