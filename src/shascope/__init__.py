@@ -20,7 +20,6 @@ from .errors import (
     BudgetError,
     DomainError,
     InvariantViolation,
-    NotInvertibleError,
     ShaScopeError,
     SingularCubicError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "BudgetError",
     "DomainError",
     "InvariantViolation",
-    "NotInvertibleError",
     "ShaScopeError",
     "SingularCubicError",
     "__version__",

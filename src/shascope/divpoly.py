@@ -41,7 +41,7 @@ from .poly import ZAB, ExactPoly, MPoly, Ring
 
 DEGREE_CEILING = 700  # largest deg f_n a DivisionTable builds
 TOP_BITS_CEILING = 1024  # largest bit length of the n whose f_n a TopTable builds
-ALPHA_N_CEILING = 300  # largest N = ell^n of an alpha root-sum (cost ~ N^3.7)
+ALPHA_N_CEILING = 300  # largest N = ell^n of an alpha root-sum (cost ~ N^2.3)
 
 
 class DivisionTable:
@@ -149,7 +149,7 @@ def _same_degree(n: int, da: int, db: int) -> None:
 
 
 class ReducedTable(DivisionTable):
-    """f_n(X) mod a fixed monic modulus M, over ZZ or QQ, by the same recursion.
+    """f_n(X) mod a fixed monic modulus M, over ZZ, by the same recursion.
 
     Reduction mod a monic M is a ring map, and it commutes with the exact
     halving in f_{2m} because the remainder mod M is unique and linear. So

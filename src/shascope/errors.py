@@ -44,10 +44,3 @@ class BadReductionError(DomainError):
         self.report = report
         super().__init__(message or f"bad reduction at {p}")
 
-
-class NotInvertibleError(DomainError):
-    """Element not invertible in a quotient ring; carries the common factor."""
-
-    def __init__(self, factor, message=None):
-        self.factor = factor
-        super().__init__(message or f"element shares factor of degree {factor.degree()} with modulus")

@@ -18,7 +18,7 @@ from .arith import is_prime, padic_val
 from .curves import ShortModel
 from .errors import BudgetError, DomainError, InvariantViolation
 from .ffcurve import check_order_ceiling, ell_primary, group_order, point_order, reduce_curve
-from .poly import QQ, ZZ, ExactPoly
+from .poly import ZZ, ExactPoly
 
 MAX_HENSEL_DEPTH = 40
 
@@ -41,7 +41,7 @@ class LiftPlan:
     generator: tuple[int, int] | None  # None encodes the trivial plan (O)
     y_lift: int | None  # least non-negative residue of the generator's y
     y_squared: Fraction | None
-    cubic: ExactPoly | None  # X^3 + AX + B - y^2 over Q
+    cubic: tuple[Fraction, ...] | None  # X^3 + AX + B - y^2, coefficients constant first
     target_x: int | None  # residue mod p of the sought root
     bezout: tuple[int, int]  # (a, b) with m*a + ell*b = 1
     hensel: HenselCertificate | None
@@ -55,11 +55,10 @@ def _check_precondition(model: ShortModel, p: int, ell: int) -> None:
 
 
 def _hensel_certificate(cubic: ExactPoly, p: int, target_x: int) -> HenselCertificate:
-    """Strong-Hensel certificate for a p-adic root of cubic congruent to
-    target_x mod p, found by digit-by-digit refinement."""
+    """Strong-Hensel certificate for a p-adic root of the cubic (over ZZ)
+    congruent to target_x mod p, found by digit-by-digit refinement."""
 
-    hz = cubic.map_coeffs(ZZ, int)  # the lift cubic has integer coefficients
-    h, hd = hz.evaluate, hz.derivative().evaluate
+    h, hd = cubic.evaluate, cubic.derivative().evaluate
     simple = hd(target_x) % p != 0 and h(target_x) % p == 0
     frontier = [target_x]
     for depth in range(1, MAX_HENSEL_DEPTH + 1):
@@ -129,9 +128,9 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
 
     x_bar, y_bar = gen
     y_lift = y_bar % p
-    y_squared = Fraction(y_lift * y_lift)
-    cubic = ExactPoly.make(
-        QQ, [Fraction(model.B) - y_squared, Fraction(model.A), Fraction(0), Fraction(1)]
+    y_squared = y_lift * y_lift
+    cubic = (model.B - y_squared, model.A, 0, 1)
+    cert = _hensel_certificate(ExactPoly.from_ints(ZZ, cubic), p, x_bar % p)
+    return LiftPlan(
+        p, ell, n, m, gen, y_lift, Fraction(y_squared), tuple(map(Fraction, cubic)), x_bar % p, (a, b), cert
     )
-    cert = _hensel_certificate(cubic, p, x_bar % p)
-    return LiftPlan(p, ell, n, m, gen, y_lift, y_squared, cubic, x_bar % p, (a, b), cert)

@@ -1,23 +1,24 @@
-"""Exact traces in quotient rings Q[X]/(g): zero-trace checks for torsion
-x-coordinates, the normalized alpha root-sums at levels n = 1, 2 and the
-level-2 closed form.
+"""Zero-trace checks for torsion x-coordinates, the normalized alpha
+root-sums at levels n = 1, 2 and the level-2 closed form, as exact traces in
+the integer cubic ring Z[Y]/(psi).
 
-Traces use Newton power sums of the (monicized) modulus; inverses use the
-extended euclidean algorithm in Q[X]. The alpha root-sum over the roots of
-g = f_{ell^n} / f_{ell^(n-1)} comes from a residue identity in the cubic ring
-Q[Y]/(psi): sum 1/psi(r) = -Tr(g'/(psi' g)), with g'/g read off the f_k
-reduced mod psi^2 along the division recursion, so g (degree 300 at
-(ell, n) = (5, 2)) is never built. The checks that stay: psi squarefree,
-f_{ell^k} invertible mod psi, and S = 0, which alpha_trace_direct proves
-for every curve, ell and n. The level-2 closed form sums over the roots of
-g_ell by the same logarithmic derivative, as one trace in Q[Y]/(psi).
+The alpha root-sum over the roots of g = f_{ell^n} / f_{ell^(n-1)} comes from
+a residue identity in the cubic ring: sum 1/psi(r) = -Tr(g'/(psi' g)), with
+g'/g read off the f_k reduced mod psi^2 along the division recursion, so g
+(degree 300 at (ell, n) = (5, 2)) is never built. psi is monic and every
+operand is integral, so an element is an int triple and Tr(x/y) comes from
+the 3x3 multiplication matrix of y (the regular representation; Cohen, A
+Course in Computational Algebraic Number Theory, ch. 4). The checks that
+stay: f_{ell^k} has nonzero norm mod psi, and S = 0, which
+alpha_trace_direct proves for every curve, ell and n. The level-2 closed
+form sums over the roots of g_ell by the same logarithmic derivative, as one
+trace in the same ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .arith import is_prime
 from .curves import ShortModel
@@ -29,83 +30,65 @@ from .divpoly import (
     TopTable,
     symbolic_table,
 )
-from .errors import BudgetError, DomainError, InvariantViolation, NotInvertibleError
-from .poly import QQ, ZZ, ExactPoly, Fp, ext_gcd_qq, poly_gcd
+from .errors import BudgetError, DomainError, InvariantViolation
+from .poly import ZZ, ExactPoly
 
 
 # ---------------------------------------------------------------------------
-# quotient rings
+# the cubic ring
 # ---------------------------------------------------------------------------
-
-
-def _is_squarefree_qq(g: ExactPoly) -> bool:
-    """Squarefreeness of g over Q, certified cheaply mod small primes first.
-
-    gcd(g, g') = 1 mod q (with lc(g) a q-unit) implies gcd = 1 over Q; if no
-    small prime certifies it, fall back to the exact gcd.
-    """
-    den = lcm(*(c.denominator for c in g.coeffs))  # clears denominators
-    gi = [int(c * den) for c in g.coeffs]
-    for q in (1000003, 1000033, 1000037, 1000039, 1000081):
-        if gi[-1] % q == 0:
-            continue
-        gq = ExactPoly.from_ints(Fp(q), gi)
-        if poly_gcd(gq, gq.derivative()).degree() == 0:
-            return True
-    return poly_gcd(g, g.derivative()).degree() == 0
 
 
 class QuotRing:
-    """Q[X]/(g) with g monicized and squarefree; elements are ExactPoly over QQ."""
+    """Z[Y]/(Y^3 + aY + b); elements are int triples (z0, z1, z2) = z0 + z1 Y + z2 Y^2.
 
-    def __init__(self, g: ExactPoly):
-        if g.ring is not QQ:
-            g = g.map_coeffs(QQ, Fraction)
-        if g.degree() < 1:
-            raise DomainError("modulus must have positive degree")
-        g = g.monic()
-        if not _is_squarefree_qq(g):
-            raise DomainError("modulus is not squarefree")
-        self.g = g
-        self.degree = g.degree()
-        self._psums: list[Fraction] = [Fraction(self.degree)]
+    The trace sums over the three roots of the modulus, with multiplicity:
+    Tr 1 = 3, Tr Y = 0 and Tr Y^2 = -2a are its power sums.
+    """
 
-    def reduce(self, elem: ExactPoly) -> ExactPoly:
-        if elem.ring is not QQ:
-            elem = elem.map_coeffs(QQ, Fraction)
-        return elem.mod(self.g)
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+        self.modulus = ExactPoly.from_ints(ZZ, [b, a, 0, 1])
 
-    def power_sums(self, upto: int) -> list[Fraction]:
-        """Newton power sums p_0..p_upto of the roots of g."""
-        c = self.g.coeffs
-        d = self.degree
-        p = self._psums
-        for k in range(len(p), upto + 1):
-            s = Fraction(0)
-            for i in range(1, min(k - 1, d) + 1):
-                s += c[d - i] * p[k - i]
-            if k <= d:
-                s += k * c[d - k]
-            p.append(-s)
-        return p[: upto + 1]
+    def reduce(self, elem: ExactPoly) -> tuple[int, int, int]:
+        """The triple of an ExactPoly over ZZ, reduced mod the modulus."""
+        c = elem.mod(self.modulus).coeffs
+        return (*c, 0, 0, 0)[:3]
 
+    def mul(self, x: tuple, y: tuple) -> tuple[int, int, int]:
+        """x * y, with Y^3 = -aY - b and Y^4 = -aY^2 - bY."""
+        a, b = self.a, self.b
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        c3, c4 = x1 * y2 + x2 * y1, x2 * y2
+        return (
+            x0 * y0 - b * c3,
+            x0 * y1 + x1 * y0 - a * c3 - b * c4,
+            x0 * y2 + x1 * y1 + x2 * y0 - a * c4,
+        )
 
-def trace_in_ring(ring: QuotRing, elem: ExactPoly) -> Fraction:
-    """Sum of elem(r) over the roots r of the modulus, exact."""
-    e = ring.reduce(elem)
-    if e.is_zero():
-        return Fraction(0)
-    ps = ring.power_sums(e.degree())
-    return sum((c * ps[i] for i, c in enumerate(e.coeffs)), Fraction(0))
+    def trace_quotient(self, x: tuple, y: tuple) -> Fraction:
+        """Tr(x / y) = Tr(x v) / N(y), exact.
 
-
-def invert_mod(ring: QuotRing, elem: ExactPoly) -> ExactPoly:
-    """Inverse of elem modulo g; NotInvertibleError carries the common factor."""
-    e = ring.reduce(elem)
-    g, s, _ = ext_gcd_qq(e, ring.g)
-    if g.degree() != 0:
-        raise NotInvertibleError(g)
-    return ring.reduce(s)
+        N(y) is the determinant of y's multiplication matrix m (columns y,
+        yY, yY^2) and v = N(y) / y is the first column of its adjugate, so
+        m v = N(y) e_0. A zero norm means y shares a root with the modulus:
+        InvariantViolation.
+        """
+        a, b = self.a, self.b
+        y0, y1, y2 = y
+        # rows 1 and 2 of m; row 0 is (y0, -b y2, -b y1)
+        m10, m11, m12 = y1, y0 - a * y2, -b * y2 - a * y1
+        m20, m21, m22 = y2, y1, y0 - a * y2
+        v = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
+        norm = y0 * v[0] - b * (y2 * v[1] + y1 * v[2])
+        if norm == 0:
+            raise InvariantViolation(
+                f"y = {y} has norm 0 in Z[Y]/(Y^3 + aY + b), (a, b) = {(a, b)}: "
+                "y shares a root with the modulus"
+            )
+        z0, _, z2 = self.mul(x, v)
+        return Fraction(3 * z0 - 2 * a * z2, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -181,41 +164,40 @@ def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> int:
     return dp
 
 
-def _inverse_root_sum(model: ShortModel, ell: int, n: int, h: ExactPoly) -> Fraction:
-    """Sum of 1/h(r) over the roots r of g = f_{ell^n} / f_{ell^(n-1)}, by residues.
+def _inverse_root_sum(model: ShortModel, ell: int, n: int, ring: QuotRing) -> Fraction:
+    """Sum of 1/h(r) over the roots r of g = f_{ell^n} / f_{ell^(n-1)}, by
+    residues, with h = ring.modulus.
 
-    For h squarefree and coprime to g, the residues of g'/(g h) sum to zero,
-    so the sum is -Tr_{Q[Y]/(h)}(g'(Y) / (h'(Y) g(Y))), with
+    For h coprime to g, the residues of g'/(g h) sum to zero, so the sum is
+    -Tr_{Z[Y]/(h)}(g'(Y) / (h'(Y) g(Y))), with
     g'/g = f'_{ell^n}/f_{ell^n} - f'_{ell^(n-1)}/f_{ell^(n-1)}. The values
     f_k(e), f'_k(e) at the roots e of h are those of R_k = f_k mod h^2 and
-    R'_k, since f_k - R_k vanishes to order 2 there. NotInvertibleError means
-    some f_k shares a root with h. With F = R_{ell^n} and f = R_{ell^(n-1)},
-    g'/g = (F' f - f' F) / (F f), so one inverse, of F f h', serves.
+    R'_k, since f_k - R_k vanishes to order 2 there. With F = R_{ell^n} and
+    f = R_{ell^(n-1)}, g'/g = (F' f - f' F) / (F f), so one quotient, by
+    F f h', serves.
     """
-    K = QuotRing(h)
-    M = K.g * K.g
-    # over ZZ when M is integral (it is for psi): about 2x faster than over QQ
-    ring = ZZ if all(c.denominator == 1 for c in M.coeffs) else QQ
-    M = M.map_coeffs(ring, ring.from_int)
-    table = ReducedTable(ring, ring.from_int(model.A), ring.from_int(model.B), M)
-    F, f = (table.f(k).map_coeffs(QQ, Fraction) for k in (ell**n, ell ** (n - 1)))
-    h_d = h.map_coeffs(QQ, Fraction).derivative()
+    h = ring.modulus
+    table = ReducedTable(ZZ, model.A, model.B, h * h)
+    F, f = table.f(ell**n), table.f(ell ** (n - 1))
     numer = F.derivative() * f - f.derivative() * F
-    return -trace_in_ring(K, numer * invert_mod(K, F * f * h_d))
+    F, f, numer, h_d = (ring.reduce(p) for p in (F, f, numer, h.derivative()))
+    return -ring.trace_quotient(numer, ring.mul(ring.mul(F, f), h_d))
 
 
 def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     """S = ell^3 * delta' * sum(1/psi(r)) / deg g_{ell^n} over the roots r of g_{ell^n}.
 
     The sum comes from the residue identity of `_inverse_root_sum` in the
-    cubic ring Q[Y]/(psi), with each f_{ell^k} reduced mod psi^2 along the
+    cubic ring Z[Y]/(psi), with each f_{ell^k} reduced mod psi^2 along the
     division recursion, so g_{ell^n} itself is never built. Over Q, E[N] is
     étale, so f_N is squarefree whenever delta' != 0 and g needs no
     squarefree certificate; the residue identity counts a multiple root with
     its multiplicity, as power sums do. The checks that remain: the
-    preconditions, psi squarefree (QuotRing), f_{ell^k}(Y) invertible mod psi
-    (a 2-torsion x-coordinate is no ell-power torsion x-coordinate), and
-    S = 0, which holds for every curve, ell and n. Proof, for odd N, with
+    preconditions (ell does not divide delta', so delta' != 0 and psi is
+    squarefree), a nonzero norm of f_{ell^k} f_{ell^(k-1)} psi' in the cubic
+    ring (a 2-torsion x-coordinate is no ell-power torsion x-coordinate, and
+    psi' shares no root with a squarefree psi), and S = 0, which holds for
+    every curve, ell and n. Proof, for odd N, with
     T_i = (e_i, 0) the 2-torsion points:
     1. The chord through P and T_i gives x(P+T_i) - e_i = psi'(e_i)/(x(P) - e_i).
     2. N is odd, so {Q : [N]Q = T_i} = T_i + E[N], and its x-coordinates,
@@ -235,14 +217,7 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     itself is defined unconditionally.
     """
     dp = _check_alpha_pre(model, ell, n)
-    psi = ExactPoly.from_ints(QQ, [model.B, model.A, 0, 1])
-    try:
-        total = _inverse_root_sum(model, ell, n, psi)
-    except NotInvertibleError as exc:
-        raise InvariantViolation(
-            "psi shares a root with the torsion polynomial; "
-            "a 2-torsion x-coordinate cannot be an ell-torsion x-coordinate"
-        ) from exc
+    total = _inverse_root_sum(model, ell, n, QuotRing(model.A, model.B))
     degree = DivisionTable.expected_degree(ell**n) - DivisionTable.expected_degree(ell ** (n - 1))
     S = Fraction(ell**3 * dp) * total / degree
     if S != 0:
@@ -264,12 +239,13 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     without ever building g_{ell^2}. With f = f_ell of degree d, the sums over
     lam are logarithmic derivatives, as in alpha_trace_direct:
     sum 1/(e - lam) = f'(e)/f(e) and sum lam/(e - lam) = -d + e f'(e)/f(e).
-    So the double sum is one trace in K = Q[Y]/(psi),
+    So the double sum is one trace in K = Z[Y]/(psi),
 
         Tr_K([t (Y f' - d f) - h0 f'] / (psi' f^3)),
 
     counting the roots of f with multiplicity (f is squarefree anyway; see
-    alpha_trace_direct). NotInvertibleError means f_ell shares a root with psi.
+    alpha_trace_direct). A zero norm of psi' f^3 (InvariantViolation) would
+    mean f_ell shares a root with psi.
 
     The value is 0 on every curve: f_n'(e) = 0 at every root e of psi for odd
     n. With sigma the Weierstrass sigma function and omega a period with
@@ -281,20 +257,19 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     3. For odd n, psi_n(omega/2 + u) = f_n(x(omega/2 + u)) is even in u, and
        x - e = c u^2 + O(u^4) with c != 0, so that u^2 coefficient is
        c f_n'(e) / f_n(e). It is 0, so f_n'(e) = 0.
-    The numerator above is f'(f_{ell-1} f_{ell+1} psi' - (2d + 1) f^2), so
-    every term carries f_ell'(e).
+    The numerator above is f'(f_{ell-1} f_{ell+1} psi' - (2d + 1) f^2), the
+    form computed below, so every term carries f_ell'(e).
     """
     dp = _check_alpha_pre(model, ell, 1)
     table = DivisionTable(ZZ, model.A, model.B)
-    psi = ExactPoly.from_ints(QQ, [model.B, model.A, 0, 1])
-    K = QuotRing(psi)  # Q[Y]/(psi); a product of fields since psi squarefree
+    K = QuotRing(model.A, model.B)
     f = table.f(ell)
     d = f.degree()
-    psi_d = psi.derivative()
-    f, fd, f_m, f_p = (K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1)))
-    Y = ExactPoly.x(QQ)
-    h0 = f * f + (Y * f * fd).scale(2) - f_m * f_p * psi_d
-    t = (f * fd).scale(2)
-    numer = t * (Y * fd - f.scale(d)) - h0 * fd
-    total = trace_in_ring(K, numer * invert_mod(K, psi_d * f * f * f))
+    f, fd, f_m, f_p, psi_d = (
+        K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1), table.psi.derivative())
+    )
+    mul = K.mul
+    f2 = mul(f, f)
+    inner = tuple(x - (2 * d + 1) * y for x, y in zip(mul(mul(f_m, f_p), psi_d), f2))
+    total = K.trace_quotient(mul(fd, inner), mul(mul(psi_d, f2), f))
     return Fraction(ell**3 * dp) * total / (ell * ell * d)  # deg g_{ell^2} = ell^2 d

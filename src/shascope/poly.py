@@ -2,7 +2,6 @@
 
 ExactPoly stores coefficients low-degree-first over one of:
   ZZ       -- Python int
-  QQ       -- fractions.Fraction
   Fp(p)    -- ints reduced mod p
   ZAB      -- MPoly, weighted-homogeneous elements of Z[A,B] (A weight 2,
               B weight 3), each one dense int row; the symbolic ring
@@ -12,13 +11,11 @@ when it is falsy. A Ring supplies only constants (from_int) and exact
 division (exact_div). ExactPoly.make is the one place F_p reduces: products
 and sums run on plain ints and each output coefficient is taken mod p once.
 
-Products over ZZ, F_p and QQ, and the int rows of MPoly, run one integer
+Products over ZZ and F_p, and the int rows of MPoly, run one integer
 kernel: Karatsuba-Ofman above _KARATSUBA_CUTOFF terms, with a squaring path
 when both operands are the same list, over the schoolbook _mul_rows. Z[A,B]
 products call _mul_rows directly: a0 + a1 would add MPolys of different
-weights. QQ runs on int numerators over one common denominator, products
-through the kernel and divmod_exact by integer pseudo-division, and builds
-one Fraction per output coefficient.
+weights.
 
 Division is exact-by-construction: divmod steps that would leave the ring
 raise, and exact_div asserts a zero remainder.
@@ -27,8 +24,6 @@ raise, and exact_div asserts a zero remainder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from operator import add, sub
 
 from .errors import DomainError, InvariantViolation
@@ -203,40 +198,6 @@ def _kmul(a, b) -> list:
     return out
 
 
-def _numerators(cs) -> tuple[int, list]:
-    """(d, [c*d for c in cs]) with d the least common denominator of cs."""
-    d = lcm(*(c.denominator for c in cs))
-    if d == 1:
-        return d, [c.numerator for c in cs]
-    return d, [c.numerator * (d // c.denominator) for c in cs]
-
-
-def _divmod_qq(a, b) -> tuple[list, list]:
-    """Quotient and remainder coefficients of a / b over QQ, deg a >= deg b.
-
-    Integer pseudo-division on the numerators: the remainder is rem / s, and
-    a step whose top coefficient t the divisor's leading numerator L does not
-    divide first scales rem and s by L / gcd(t, L).
-    """
-    s, rem = _numerators(a)
-    db, d = _numerators(b)
-    if d[-1] < 0:  # b = (-d) / (-db), so that L > 0 and L | t needs no scaling
-        db, d = -db, [-y for y in d]
-    dd, lead = len(d) - 1, d[-1]
-    quo = []
-    for k in range(len(rem) - dd - 1, -1, -1):
-        t = rem.pop()
-        quo.append(Fraction(t * db, s * lead))
-        if t:
-            g = gcd(t, lead)
-            u, t = lead // g, t // g
-            if u != 1:
-                rem = [u * x for x in rem]
-                s *= u
-            rem[k : k + dd] = [x - t * y for x, y in zip(rem[k : k + dd], d)]
-    return quo[::-1], [Fraction(x, s) for x in rem]
-
-
 # ---------------------------------------------------------------------------
 # coefficient ring adapters
 # ---------------------------------------------------------------------------
@@ -270,18 +231,6 @@ class _ZZ(Ring):
         if r != 0:
             raise InvariantViolation(f"non-exact division {a}/{b} in ZZ")
         return q
-
-
-class _QQ(Ring):
-    name = "QQ"
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def exact_div(self, a, b):
-        if b == 0:
-            raise InvariantViolation("division by zero in QQ")
-        return Fraction(a) / b
 
 
 class Fp(Ring):
@@ -324,7 +273,6 @@ class MPolyRing(Ring):
 
 
 ZZ = _ZZ()
-QQ = _QQ()
 
 ZAB = MPolyRing()
 
@@ -356,10 +304,6 @@ class ExactPoly:
     @classmethod
     def const(cls, ring: Ring, k) -> "ExactPoly":
         return cls.make(ring, [k])
-
-    @classmethod
-    def x(cls, ring: Ring) -> "ExactPoly":
-        return cls.make(ring, [ring.from_int(0), ring.from_int(1)])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -394,12 +338,8 @@ class ExactPoly:
         r, a, b = self.ring, self.coeffs, other.coeffs
         if not a or not b:
             return ExactPoly(r, ())
-        if r is not QQ:  # a square arrives as a is b, which both kernels test
-            return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if r is ZAB else _kmul(a, b))
-        da, na = _numerators(a)
-        db, nb = (da, na) if a is b else _numerators(b)
-        den = da * db
-        return ExactPoly(r, tuple(Fraction(c, den) for c in _kmul(na, nb)))
+        # a square arrives as a is b, which both kernels test
+        return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if r is ZAB else _kmul(a, b))
 
     def scale(self, k) -> "ExactPoly":
         return ExactPoly.make(self.ring, [c * k for c in self.coeffs])
@@ -427,7 +367,6 @@ class ExactPoly:
 
         One quotient coefficient per step; the top term it cancels is dropped
         without being computed, so F_p remainders may run unreduced until make.
-        QQ runs integer pseudo-division (_divmod_qq).
         """
         r = self.ring
         if other.is_zero():
@@ -437,9 +376,6 @@ class ExactPoly:
         rem = list(self.coeffs)
         if len(rem) <= dd:
             return ExactPoly(r, ()), self
-        if r is QQ:
-            quo, rem = _divmod_qq(rem, d)
-            return ExactPoly.make(r, quo), ExactPoly.make(r, rem)
         quo = []
         for k in range(len(rem) - dd - 1, -1, -1):
             c = r.exact_div(rem.pop(), dlc)
@@ -459,40 +395,3 @@ class ExactPoly:
     def mod(self, other: "ExactPoly") -> "ExactPoly":
         return self.divmod_exact(other)[1]
 
-    def monic(self) -> "ExactPoly":
-        """Monic normalization (QQ/Fp only)."""
-        if self.is_zero():
-            raise DomainError("zero polynomial has no monic form")
-        r = self.ring
-        return ExactPoly.make(r, [r.exact_div(c, self.lc()) for c in self.coeffs])
-
-    def map_coeffs(self, target: Ring, fn) -> "ExactPoly":
-        return ExactPoly.make(target, [fn(c) for c in self.coeffs])
-
-
-def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic gcd in QQ[X] or F_p[X] (the zero polynomial when a = b = 0)."""
-    if a.ring != b.ring or not (a.ring is QQ or isinstance(a.ring, Fp)):
-        raise DomainError("poly_gcd requires two polynomials over QQ or over one F_p")
-    while not b.is_zero():
-        a, b = b, a.mod(b)
-    return a if a.is_zero() else a.monic()
-
-
-def ext_gcd_qq(a: ExactPoly, b: ExactPoly) -> tuple[ExactPoly, ExactPoly, ExactPoly]:
-    """(g, s, t) with s*a + t*b = g, g monic, in QQ[X]."""
-    zero = ExactPoly.make(QQ, [])
-    one = ExactPoly.const(QQ, Fraction(1))
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = r0.divmod_exact(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.lc()
-    inv = Fraction(1) / lc
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)

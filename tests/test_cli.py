@@ -385,7 +385,7 @@ POLY_ENGINE_PINS = [
 @pytest.mark.parametrize("argv,digest", POLY_ENGINE_PINS, ids=[argv[0] for argv, _ in POLY_ENGINE_PINS])
 def test_poly_engine_stdout_pinned(capsys, argv, digest):
     # bytes pinned from the implementation with per-coefficient Ring adapter
-    # calls; a QQ coefficient that became an int would print 3, not
+    # calls; a Fraction coefficient that became an int would print 3, not
     # {"den":1,"num":3}
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -19,7 +19,7 @@ def test_lift_plan_example4():
     assert 2 * 3 + 5 * (-1) == 1
     assert plan.target_x == 1
     # the cubic is X^3 + AX + (B - 9)
-    assert plan.cubic.coeffs == (
+    assert plan.cubic == (
         Fraction(-4724275762 - 9),
         Fraction(-5316979),
         Fraction(0),
@@ -37,7 +37,7 @@ def test_lift_plan_example4():
 
 def test_lift_cubic_double_root_mod_p():
     plan = lift_plan(EX3_MIN, 7, 5)
-    h = [int(c) for c in plan.cubic.coeffs]
+    h = [int(c) for c in plan.cubic]
     ev = lambda x: (h[0] + h[1] * x + h[3] * x**3) % 7
     roots = [x for x in range(7) if ev(x) == 0]
     assert sorted(roots) == [1, 5]

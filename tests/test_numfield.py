@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from shascope import numfield
 from shascope.curves import ShortModel
 from shascope.divpoly import DivisionTable, quotient_g, symbolic_table
-from shascope.errors import DomainError, InvariantViolation, NotInvertibleError
+from shascope.errors import DomainError, InvariantViolation
 from shascope.numfield import (
     QuotRing,
     _inverse_root_sum,
@@ -17,50 +18,46 @@ from shascope.numfield import (
     alpha_trace_step8,
     cor6_check,
     cor7_check,
-    invert_mod,
-    trace_in_ring,
 )
-from shascope.poly import QQ, ZZ, ExactPoly
+from shascope.poly import ZZ, ExactPoly
 
 CURVE_A = ShortModel(1, 1)  # delta' = 31
 CURVE_B = ShortModel(-2, 3)  # delta' = 211
 
 
-def test_power_sums_companion_matrix_oracle():
-    # power sums of x^3 - 2x + 5 via sympy companion-matrix traces
-    g = ExactPoly.from_ints(QQ, [5, -2, 0, 1])
-    ring = QuotRing(g)
-    M = sympy.Matrix([[0, 0, -5], [1, 0, 2], [0, 1, 0]])
-    P = sympy.eye(3)
-    for k in range(8):
-        assert ring.power_sums(7)[k] == P.trace()
-        P = P * M
+def _companion_trace(a, b, x, y):
+    """Tr(x(C) y(C)^-1) by sympy, with C the companion matrix of Y^3 + aY + b."""
+    C = sympy.Matrix([[0, 0, -b], [1, 0, -a], [0, 1, 0]])
+
+    def at(t):
+        return t[0] * sympy.eye(3) + t[1] * C + t[2] * C * C
+
+    want = (at(x) * at(y).inv()).trace()
+    return Fraction(int(want.p), int(want.q))
 
 
-def test_trace_in_ring_linearity_and_constants():
-    g = ExactPoly.from_ints(QQ, [5, -2, 0, 1])
-    ring = QuotRing(g)
-    c = ExactPoly.from_ints(QQ, [7])
-    assert trace_in_ring(ring, c) == 21  # deg * 7
-    x = ExactPoly.from_ints(QQ, [0, 1])
-    assert trace_in_ring(ring, x) == 0  # no x^2 term
+def test_trace_quotient_matches_companion_matrix_oracle():
+    # x / y in Z[Y]/(Y^3 + aY + b) against matrices over Q, on random
+    # elements with 100-bit coefficients
+    rng = random.Random(21)
+
+    def big():
+        return rng.randrange(-(2**100), 2**100)
+
+    for _ in range(200):
+        a, b = big(), big()
+        x, y = (tuple(big() for _ in range(3)) for _ in range(2))
+        assert QuotRing(a, b).trace_quotient(x, y) == _companion_trace(a, b, x, y), (a, b, x, y)
 
 
-def test_invert_mod_and_noninvertible():
-    g = ExactPoly.from_ints(QQ, [-1, 0, 1])  # (x-1)(x+1)
-    ring = QuotRing(g)
-    e = ExactPoly.from_ints(QQ, [1, 1])  # x + 1, shares a factor
-    with pytest.raises(NotInvertibleError):
-        invert_mod(ring, e)
-    u = ExactPoly.from_ints(QQ, [2, 1])
-    inv = invert_mod(ring, u)
-    assert ring.reduce(inv * u).coeffs == (Fraction(1),)
-
-
-def test_squarefree_rejected():
-    g = ExactPoly.from_ints(QQ, [1, 2, 1])  # (x+1)^2
-    with pytest.raises(DomainError):
-        QuotRing(g)
+def test_trace_quotient_small_cases_and_zero_norm():
+    K = QuotRing(-1, 0)  # Y^3 - Y = Y (Y - 1) (Y + 1)
+    assert K.reduce(ExactPoly.from_ints(ZZ, [0, 0, 0, 0, 1])) == (0, 0, 1)  # Y^4 = Y^2
+    assert K.trace_quotient((0, 0, 1), (1, 0, 0)) == 2  # Tr Y^2 = -2a
+    assert K.trace_quotient((7, 0, 0), (2, 0, 0)) == Fraction(21, 2)
+    # y = Y shares the root 0 with Y^3 - Y
+    with pytest.raises(InvariantViolation, match="norm 0"):
+        K.trace_quotient((1, 0, 0), (0, 1, 0))
 
 
 def test_cor6_zero_trace():
@@ -101,26 +98,39 @@ def test_alpha_trace_direct_is_zero_on_random_curves(A, B, ell, n):
     assert alpha_trace_direct(ShortModel(A, B), ell, n).S == 0
 
 
-def test_alpha_trace_element_override():
-    # the degree-12 oracle ring of alpha traces at (5, 1): a constant 3 over
-    # Q[X]/(f_5) traces to 3 * 12
-    ring = QuotRing(quotient_g(DivisionTable(ZZ, 1, 1), 5, 1))
-    assert trace_in_ring(ring, ExactPoly.from_ints(QQ, [3])) == 3 * 12
+def _power_sums(g, upto):
+    """Newton power sums p_0..p_upto of the roots of g (int coefficients, constant first)."""
+    c = [Fraction(v, g[-1]) for v in g]
+    d = len(c) - 1
+    p = [Fraction(d)]
+    for k in range(1, upto + 1):
+        s = sum((c[d - i] * p[k - i] for i in range(1, min(k - 1, d) + 1)), Fraction(0))
+        if k <= d:
+            s += k * c[d - k]
+        p.append(-s)
+    return p
 
 
 def test_inverse_root_sum_matches_degree_n_oracle():
-    # the residue route against sum(1/h(r)) = Tr(1/h) in Q[X]/(g_{ell^n});
-    # nonzero values, unlike S, which is 0 on every curve. h runs over psi + 1,
-    # a cubic, a rational root and a non-monic quadratic
+    # the residue route against sum(1/h(r)) = Tr(1/h) in Q[X]/(g_{ell^n}),
+    # with the inverse by sympy over QQ and the trace by Newton power sums;
+    # nonzero values, unlike S, which is 0 on every curve. h runs over
+    # psi + 1 and a fixed cubic
+    X = sympy.Symbol("X")
     for model in (CURVE_A, CURVE_B):
         table = DivisionTable(ZZ, model.A, model.B)
-        hs = ([model.B + 1, model.A, 0, 1], [3, -1, 2, 1], [-7, 1], [1, 0, 2])
         for ell, n in ((5, 1), (7, 1), (5, 2)):
-            ring = QuotRing(quotient_g(table, ell, n))
-            for h in (ExactPoly.from_ints(QQ, c) for c in hs):
-                want = trace_in_ring(ring, invert_mod(ring, h))
+            g = quotient_g(table, ell, n)
+            g_qq = sympy.Poly(g.coeffs[::-1], X, domain="QQ")
+            ps = _power_sums(g.coeffs, g.degree() - 1)
+            for a, b in ((model.A, model.B + 1), (-1, 3)):
+                inv = sympy.invert(sympy.Poly([1, 0, a, b], X, domain="QQ"), g_qq)
+                want = sum(
+                    (Fraction(int(c.p), int(c.q)) * ps[i] for i, c in enumerate(inv.all_coeffs()[::-1])),
+                    Fraction(0),
+                )
                 assert want != 0
-                assert _inverse_root_sum(model, ell, n, h) == want, (model, ell, n, h)
+                assert _inverse_root_sum(model, ell, n, QuotRing(a, b)) == want, (model, ell, n, a, b)
 
 
 def test_alpha_trace_bound_check_rejects_a_large_q_part(monkeypatch):

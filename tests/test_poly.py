@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -7,14 +5,11 @@ from hypothesis import strategies as st
 from shascope.errors import DomainError, InvariantViolation
 from shascope.poly import (
     _KARATSUBA_CUTOFF,
-    QQ,
     ZAB,
     ZZ,
     ExactPoly,
     Fp,
     MPoly,
-    ext_gcd_qq,
-    poly_gcd,
 )
 
 
@@ -44,12 +39,6 @@ def test_divmod_and_exact_div():
     assert q.coeffs == (1, 1)
     with pytest.raises(InvariantViolation):
         P(1, 0, 1).exact_div(b)
-
-
-def test_mod_over_qq():
-    a = ExactPoly.from_ints(QQ, [1, 0, 0, 1])  # x^3 + 1
-    m = ExactPoly.from_ints(QQ, [1, 1])  # x + 1
-    assert a.mod(m).is_zero()
 
 
 def test_derivative():
@@ -158,50 +147,6 @@ def test_fp_product_matches_naive_double_loop(p, a, b, square):
     assert all(0 <= c < p for c in prod.coeffs)
 
 
-fractions = st.builds(
-    Fraction, st.integers(-(2**200), 2**200), st.integers(1, 10**6) | st.sampled_from([1, 2**100 + 1])
-)
-qq_lists = sized_lists(fractions, 3 * _KARATSUBA_CUTOFF)
-
-
-def Q(cs):
-    return ExactPoly.make(QQ, cs)
-
-
-@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
-@given(a=qq_lists, b=qq_lists, square=st.booleans())
-def test_qq_product_matches_naive_double_loop(a, b, square):
-    pa = Q(a)
-    pb = pa if square else Q(b)
-    prod = pa * pb
-    want = naive_mul(pa.coeffs, pb.coeffs, Fraction(0)) if pa.coeffs and pb.coeffs else []
-    assert prod == Q(want)
-    assert all(type(c) is Fraction for c in prod.coeffs)
-
-
-def fraction_long_division(a, b):
-    """(q, r) with a = q b + r, one Fraction step per quotient coefficient."""
-    rem, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = q[k] = rem[k + len(b) - 1] / b[-1]
-        for j, y in enumerate(b):
-            rem[k + j] -= c * y
-    return q, rem[: len(b) - 1]
-
-
-@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
-@given(a=qq_lists, b=sized_lists(fractions, _KARATSUBA_CUTOFF))
-def test_qq_divmod_matches_fraction_long_division(a, b):
-    pa, pb = Q(a), Q(b)
-    if pb.is_zero():
-        return
-    q, r = pa.divmod_exact(pb)
-    wq, wr = fraction_long_division(pa.coeffs, pb.coeffs)
-    assert (q, r) == (Q(wq), Q(wr))
-    assert q * pb + r == pa and r.degree() < pb.degree()
-    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
-
-
 def test_symbolic_square_matches_product_of_equal_operands():
     # a square takes the doubled cross products of _mul_rows, over Z[A,B]
     # and over the int rows of MPoly
@@ -216,38 +161,6 @@ def test_symbolic_square_matches_product_of_equal_operands():
     assert f * f == f * g
     big = MPoly(6 * 3 * _KARATSUBA_CUTOFF, range(1, 3 * _KARATSUBA_CUTOFF))  # a row past the cutoff
     assert mapped_back(big * big) == sparse_mul(mapped_back(big), mapped_back(big))
-
-
-def test_poly_gcd_qq():
-    # (x-1)^2 (x+2) and (x-1)(x+3)
-    a = ExactPoly.from_ints(QQ, [2, -3, 0, 1])
-    b = ExactPoly.from_ints(QQ, [-3, 2, 1])
-    g = poly_gcd(a, b)
-    assert g.coeffs == (Fraction(-1), Fraction(1))  # monic x - 1
-
-
-def test_poly_gcd_fp():
-    F = Fp(101)
-    # (2x + 3)(x^2 + 1)(x - 5) and (2x + 3)(x - 5)^2 (x + 7) over F_101
-    common = ExactPoly.from_ints(F, [3, 2]) * ExactPoly.from_ints(F, [-5, 1])
-    a = common * ExactPoly.from_ints(F, [1, 0, 1])
-    b = common * ExactPoly.from_ints(F, [-5, 1]) * ExactPoly.from_ints(F, [7, 1])
-    g = poly_gcd(a, b)
-    assert g == common.monic() and g.lc() == 1
-    assert poly_gcd(a, ExactPoly.from_ints(F, [0])) == a.monic()
-    assert poly_gcd(ExactPoly.from_ints(F, [1, 1]), ExactPoly.from_ints(F, [2, 1])).coeffs == (1,)
-    with pytest.raises(DomainError):
-        poly_gcd(P(1, 1), P(2, 1))  # ZZ
-    with pytest.raises(DomainError):
-        poly_gcd(a, ExactPoly.from_ints(Fp(103), [1, 1]))  # two different fields
-
-
-def test_ext_gcd_qq_bezout():
-    a = ExactPoly.from_ints(QQ, [1, 0, 1])  # x^2 + 1
-    b = ExactPoly.from_ints(QQ, [1, 1])  # x + 1
-    g, s, t = ext_gcd_qq(a, b)
-    assert g.degree() == 0 and g.lc() == 1
-    assert (s * a + t * b - g).is_zero()
 
 
 def test_mpoly_render_and_ops():
