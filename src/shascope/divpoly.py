@@ -131,6 +131,8 @@ class DivisionTable:
         Each _step then finds the f_k it reads in the memo, so no Python
         recursion builds up, however large n is.
         """
+        if n < 0:
+            raise DomainError("f_n defined for n >= 0")
         todo, need = [n], set()
         while todo:
             k = todo.pop()
@@ -192,8 +194,6 @@ class TopTable(DivisionTable):
 
     def f(self, n: int) -> ExactPoly:
         if n not in self._memo:
-            if n < 0:
-                raise DomainError("f_n defined for n >= 0")
             if n.bit_length() > TOP_BITS_CEILING:
                 raise BudgetError(
                     f"f_n for n of {n.bit_length()} bits exceeds ceiling {TOP_BITS_CEILING} bits"

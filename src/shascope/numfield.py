@@ -2,17 +2,17 @@
 root-sums at levels n = 1, 2 and the level-2 closed form, as exact traces in
 the integer cubic ring Z[Y]/(psi).
 
-The alpha root-sum over the roots of g = f_{ell^n} / f_{ell^(n-1)} comes from
-a residue identity in the cubic ring: sum 1/psi(r) = -Tr(g'/(psi' g)), with
-g'/g read off the f_k reduced mod psi^2 along the division recursion, so g
-(degree 300 at (ell, n) = (5, 2)) is never built. psi is monic and every
-operand is integral, so an element is an int triple and Tr(x/y) comes from
-the 3x3 multiplication matrix of y (the regular representation; Cohen, A
-Course in Computational Algebraic Number Theory, ch. 4). The checks that
-stay: f_{ell^k} has nonzero norm mod psi, and S = 0, which
-alpha_trace_direct proves for every curve, ell and n. The level-2 closed
-form sums over the roots of g_ell by the same logarithmic derivative, as one
-trace in the same ring.
+Both alpha sums read f_k at the roots of psi from one ReducedTable mod
+psi^2 and take degrees from expected_degree, so no whole f_k is built: not
+g = f_{ell^n} / f_{ell^(n-1)} (degree 300 at (ell, n) = (5, 2)), whose
+root-sum comes from a residue identity, sum 1/psi(r) = -Tr(g'/(psi' g)),
+nor f_ell for step 8. psi is monic and every operand is integral, so an
+element is an int triple and Tr(x/y) comes from the 3x3 multiplication
+matrix of y (the regular representation; Cohen, A Course in Computational
+Algebraic Number Theory, ch. 4). The checks that stay: f_{ell^k} has
+nonzero norm mod psi, and S = 0, which alpha_trace_direct proves for every
+curve, ell and n. The level-2 closed form sums over the roots of g_ell by
+the same logarithmic derivative, as one trace in the same ring.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .curves import ShortModel
 from .divpoly import (
     ALPHA_N_CEILING,
     TOP_BITS_CEILING,
-    DivisionTable,
     ReducedTable,
     TopTable,
     symbolic_table,
@@ -129,7 +128,7 @@ def cor7_check(model: ShortModel | None, ell: int) -> bool:
     """
     if ell <= 2 or not is_prime(ell):
         raise DomainError("odd prime ell required")
-    top = (symbolic_table() if model is None else DivisionTable(ZZ, model.A, model.B)).top
+    top = symbolic_table().top if model is None else TopTable(ZZ, model.A, model.B)
     f, c = top.f, top.ring.from_int
     P = f(ell) * f(ell) - f(ell - 1) * f(ell + 1) * top.psi
     lead = f(ell).coeff(0)
@@ -218,7 +217,7 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     """
     dp = _check_alpha_pre(model, ell, n)
     total = _inverse_root_sum(model, ell, n, QuotRing(model.A, model.B))
-    degree = DivisionTable.expected_degree(ell**n) - DivisionTable.expected_degree(ell ** (n - 1))
+    degree = ReducedTable.expected_degree(ell**n) - ReducedTable.expected_degree(ell ** (n - 1))
     S = Fraction(ell**3 * dp) * total / degree
     if S != 0:
         raise InvariantViolation(f"alpha root-sum S = {S} is not 0")
@@ -245,7 +244,9 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
 
     counting the roots of f with multiplicity (f is squarefree anyway; see
     alpha_trace_direct). A zero norm of psi' f^3 (InvariantViolation) would
-    mean f_ell shares a root with psi.
+    mean f_ell shares a root with psi. f_ell, f_ell' and f_{ell+-1} at e are
+    read from the ReducedTable mod psi^2, as in _inverse_root_sum, and
+    d = expected_degree(ell).
 
     The value is 0 on every curve: f_n'(e) = 0 at every root e of psi for odd
     n. With sigma the Weierstrass sigma function and omega a period with
@@ -261,12 +262,11 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     form computed below, so every term carries f_ell'(e).
     """
     dp = _check_alpha_pre(model, ell, 1)
-    table = DivisionTable(ZZ, model.A, model.B)
     K = QuotRing(model.A, model.B)
-    f = table.f(ell)
-    d = f.degree()
+    table = ReducedTable(ZZ, model.A, model.B, K.modulus * K.modulus)
+    f, d = table.f(ell), table.expected_degree(ell)
     f, fd, f_m, f_p, psi_d = (
-        K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1), table.psi.derivative())
+        K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1), K.modulus.derivative())
     )
     mul = K.mul
     f2 = mul(f, f)

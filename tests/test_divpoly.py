@@ -115,8 +115,11 @@ def test_top_table_at_a_large_index_and_its_ceiling():
     assert top.f(2**1024 - 1).coeffs == (2**1024 - 1,)
     with pytest.raises(BudgetError, match="f_n for n of 1025 bits exceeds ceiling 1024 bits"):
         top.f(2**1024)
-    with pytest.raises(DomainError):
-        top.f(-1)
+    # every table kind refuses n < 0 before its recursion runs
+    psi = ExactPoly.from_ints(ZZ, [1, 1, 0, 1])
+    for table in (DivisionTable(ZZ, 1, 1), ReducedTable(ZZ, 1, 1, psi * psi), top):
+        with pytest.raises(DomainError, match="f_n defined for n >= 0"):
+            table.f(-1)
 
 
 def test_recursion_terms_share_a_degree(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from shascope import numfield
 from shascope.curves import ShortModel
-from shascope.divpoly import DivisionTable, quotient_g, symbolic_table
+from shascope.divpoly import DivisionTable, ReducedTable, quotient_g, symbolic_table
 from shascope.errors import DomainError, InvariantViolation
 from shascope.numfield import (
     QuotRing,
@@ -157,6 +157,14 @@ def test_alpha_trace_step8_matches_direct_level2():
         assert pred == direct.S
 
 
+def test_alpha_trace_step8_above_the_degree_ceiling():
+    # f_38 (degree 720) is above the table's degree ceiling; step 8 reads
+    # f_ell and f_{ell+-1} mod psi^2, so only ALPHA_N_CEILING caps ell
+    for model in (CURVE_A, CURVE_B):
+        for ell in (37, 101):
+            assert alpha_trace_step8(model, ell) == 0
+
+
 def test_alpha_trace_preconditions():
     with pytest.raises(DomainError):
         alpha_trace_direct(CURVE_A, 31, 1)  # ell | delta'
@@ -167,10 +175,12 @@ def test_alpha_trace_preconditions():
 
 
 class _PerturbedTable:
-    """A real DivisionTable whose f(ell) returns f_ell + delta.
+    """A real ReducedTable whose f(ell) returns R_ell + delta.
 
     A wrapper, not a subclass: the table's own recursion still reads the
-    exact f_k, so only the f_ell that the caller sees is perturbed.
+    exact f_k, so only the f_ell that the caller sees is perturbed. delta has
+    degree below that of the modulus psi^2, so R_ell + delta is
+    (f_ell + delta) mod psi^2.
     """
 
     def __init__(self, table, ell, delta):
@@ -217,7 +227,9 @@ def test_alpha_trace_step8_nonzero_on_a_perturbed_f_ell(monkeypatch, delta):
     dpoly = ExactPoly.from_ints(ZZ, list(delta))
     for ell in (5, 7):
         monkeypatch.setattr(
-            numfield, "DivisionTable", lambda ring, A, B: _PerturbedTable(DivisionTable(ring, A, B), ell, dpoly)
+            numfield,
+            "ReducedTable",
+            lambda ring, A, B, M: _PerturbedTable(ReducedTable(ring, A, B, M), ell, dpoly),
         )
         for model in (CURVE_A, CURVE_B):
             got = alpha_trace_step8(model, ell)
