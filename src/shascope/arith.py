@@ -1,6 +1,8 @@
 """Exact integer arithmetic: primality, factorization, p-adic valuations.
 
-Integers are plain Python ints (arbitrary precision). Factorization
+Integers are plain Python ints (arbitrary precision). Primality is
+deterministic Miller-Rabin below ~3.3e24, on only as many prime bases as
+the size of n needs (OEIS A014233). Factorization
 divides out the primes below 4096 by trial division, splits what is left
 with one Pollard p-1 power (Pollard, Proc. Cambridge Philos. Soc. 76 (1974))
 and then Brent's cycle variant of Pollard rho (Brent, BIT 20 (1980)) under
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
@@ -30,9 +32,16 @@ from math import gcd, isqrt, lcm, prod
 
 from .errors import BudgetError, DomainError
 
-# Deterministic Miller-Rabin witness set, valid for all n below this threshold.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# The first k prime bases decide Miller-Rabin for every n < _MR_PSP[k - 1]:
+# OEIS A014233, the least strong pseudoprime to all of them (Jaeschke,
+# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSP = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
+_MR_DETERMINISTIC_BOUND = _MR_PSP[-1]
 _MR_EXTRA_ROUNDS = 16  # random bases above the deterministic bound
 
 _TRIAL_BOUND = 10**6
@@ -65,9 +74,11 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality of n > 1.
 
-    Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that a
-    True is a probable prime (error probability < 4**-_MR_EXTRA_ROUNDS), with
-    no certificate yet (ROADMAP item 5).
+    Deterministic below ~3.3e24: after trial division by the primes up to 47,
+    n runs Miller-Rabin on the first k prime bases, k the least with
+    n < _MR_PSP[k - 1] (one base below 2047, all 13 from 3.2e23 on). Above
+    3.3e24 a True is a probable prime (error probability
+    < 4**-_MR_EXTRA_ROUNDS), with no certificate yet (ROADMAP item 5).
     """
     if n <= 1:
         raise DomainError(f"is_prime requires n > 1, got {n}")
@@ -76,7 +87,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSP, n) + 1]:
         if _miller_rabin_witness(n, a):
             return False
     if n < _MR_DETERMINISTIC_BOUND:

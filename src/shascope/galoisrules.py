@@ -219,12 +219,35 @@ def _image_verdict(reports: list[ReductionReport], facts: tuple[list, int, int],
     return Verdict(ell, False, None, tuple(reasons or ("no chain applicable",)))
 
 
+def _tail_bound(reports: list[ReductionReport], facts: tuple[list, int, int]) -> int | None:
+    """An L such that every prime ell > L not dividing delta' is certified full,
+    or None when no chain gives one; the least L over the chains that apply.
+
+    Above max(4, |ord_{p0}(j)|) a potentially multiplicative p0 is a Tate
+    witness, and the only ell-dependent filter left in chain b drops the
+    potentially good p = ell, which divides delta'. So chain a holds for
+    ell > 10, chain b for ell > max(4, |ord_{p0}(j)|) at each p0 where Borel
+    images are excluded, and chain c for ell > max(serre_bound, |ord_{p0}(j)|).
+    """
+    phi_sets, _, sb = facts
+    bounds = [10] if reports and all(r.kind == "multiplicative" for r in reports) else []
+    for r in reports:
+        if r.potential == "potentiallyMultiplicative":
+            oj = abs(r.ord_j)
+            bounds.append(max(sb, oj))
+            if borel_excluded(phi_sets, r.p)[0]:
+                bounds.append(max(4, oj))
+    return min(bounds, default=None)
+
+
 @dataclass(frozen=True)
 class Theorem5Report:
     model: ShortModel  # minimized short model the analysis ran on
     exceptional: tuple[int, ...]  # candidate primes where the image may be small
     smallest_full: int | None  # smallest scanned ell certified full
-    verdicts: tuple[Verdict, ...]  # per-ell audit for scanned primes
+    # per-ell audit of the scanned ell <= max(L, smallest_full) and the scanned
+    # primes of delta' (L from _tail_bound; every scanned prime when there is none)
+    verdicts: tuple[Verdict, ...]
 
 
 def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theorem5Report:
@@ -235,6 +258,10 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     delta' are kept as candidates unconditionally (the local analysis above
     assumes ell is coprime to the conductor support). delta' is factored with
     the given effort (see arith.factorize).
+
+    Above the tail bound L (see _tail_bound) every prime off delta' is
+    certified full, so verdicts go only to the scanned ell <= max(L,
+    smallest_full) and the scanned primes of delta'; with no L, to every one.
     """
     if scan_bound < 0:
         raise DomainError(f"scan_bound must be >= 0, got {scan_bound}")
@@ -252,7 +279,10 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     verdicts: list[Verdict] = []
     smallest_full: int | None = None
     facts = _curve_facts(reports)
+    tail = _tail_bound(reports, facts)
     for ell in primes_below(scan_bound):
+        if smallest_full is not None and tail is not None and ell > tail and ell not in dp_primes:
+            continue  # certified full by the chain that gives the tail bound
         v = _image_verdict(reports, facts, ell)
         verdicts.append(v)
         if not v.full:

@@ -21,6 +21,19 @@ def test_is_prime_small_range_vs_sympy():
         assert is_prime(n) == sympy.isprime(n), n
 
 
+def test_is_prime_base_tiers_exact():
+    # below 2047 is_prime runs base 2 alone, and below 1373653 bases 2 and 3
+    primes = primes_below(10**6)
+    assert [n for n in range(2, 10**6) if is_prime(n)] == primes
+    # each A014233 entry is a strong pseudoprime to every base below its tier,
+    # so a tier one base short calls it prime; 2047 = 23 * 89 falls to trial
+    # division first, so 1373653 = 829 * 1657 is the first entry that shows it
+    for k, n in enumerate(arith._MR_PSP, 1):
+        assert not any(arith._miller_rabin_witness(n, a) for a in arith._MR_BASES[:k]), n
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+
+
 def test_is_prime_rejects_nonpositive():
     with pytest.raises(DomainError):
         is_prime(1)

@@ -1,12 +1,26 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from shascope.arith import factorize
-from shascope.curves import LongModel, ReductionReport, ShortModel, bad_primes, minimize_short, to_short
+from shascope.arith import factorize, primes_below
+from shascope.curves import (
+    LongModel,
+    ReductionReport,
+    ShortModel,
+    bad_primes,
+    delta_prime_factorization,
+    minimize_short,
+    reduction_report,
+    to_short,
+)
 from shascope.errors import DomainError
 from shascope.galoisrules import (
+    SMALL_EXCEPTIONAL,
+    _curve_facts,
+    _image_verdict,
+    _tail_bound,
     borel_excluded,
     image_verdict,
     phi_order_candidates,
@@ -157,3 +171,67 @@ def test_theorem5_example3():
     unknown = [v.ell for v in rep.verdicts if not v.full]
     assert unknown == [2, 3, 7, 23]
     assert rep.model == ShortModel(-5316979, -4724275762)
+
+
+def _curve_with_j(j: Fraction) -> ShortModel:
+    """y^2 = x^3 + 3j(1728 - j)x + 2j(1728 - j)^2, scaled by u = den(j) to
+    integer coefficients, then minimized."""
+    u = j.denominator
+    A, B = 3 * j * (1728 - j) * u**4, 2 * j * (1728 - j) ** 2 * u**6
+    return minimize_short(ShortModel(int(A), int(B)))[0]
+
+
+def _tail_test_curves() -> list[ShortModel]:
+    rng = random.Random(23)
+    out = []
+    while len(out) < 120:
+        A, B = rng.randint(-300, 300), rng.randint(-300, 300)
+        if 4 * A**3 + 27 * B**2:
+            out.append(ShortModel(A, B))
+    # delta' = 27 p^k (p^k + 4): multiplicative at p with ord_p(j) = -k. No
+    # bad prime has a supported Phi-order set (3 is wild, the rest are
+    # multiplicative), so chain b never applies, and 2 is good, so chain c's
+    # tail is serre_bound(2) = 1153, inside the scan
+    out += [ShortModel(-3, 2 + p**k) for p in (5, 7, 11, 13) for k in (1, 2, 3, 5, 7)]
+    # j = N / 2^e: 2 is the only potentially multiplicative prime, with
+    # ord_2(j) = -e, and Phi = 6 at p = N excludes Borel images, so chain b's
+    # tail is e itself and ell = e is a candidate above smallest_full = 11
+    out += [_curve_with_j(Fraction(N, 2**e)) for N, e in ((5, 19), (13, 17))]
+    return out
+
+
+def _scan_every_prime(model: ShortModel, scan_bound: int):
+    """theorem5_report without the tail stop: a verdict at every prime below
+    scan_bound, and the set and smallest_full read from all of them."""
+    minimized, fac = delta_prime_factorization(model)
+    reports = [reduction_report(minimized, p) for p in fac.primes()]
+    facts = _curve_facts(reports)
+    verdicts = {ell: _image_verdict(reports, facts, ell) for ell in primes_below(scan_bound)}
+    base = set(SMALL_EXCEPTIONAL) | set(fac.primes())
+    exceptional = tuple(sorted(base | {ell for ell, v in verdicts.items() if not v.full}))
+    smallest_full = min((ell for ell, v in verdicts.items() if v.full and ell not in base), default=None)
+    return reports, facts, verdicts, exceptional, smallest_full
+
+
+def test_theorem5_tail_bound_against_a_scan_of_every_prime():
+    for model in _tail_test_curves():
+        reports, facts, ref, exceptional, smallest_full = _scan_every_prime(model, 3000)
+        rep = theorem5_report(model, scan_bound=3000)
+        assert (rep.exceptional, rep.smallest_full) == (exceptional, smallest_full), model
+        kept = {v.ell: v for v in rep.verdicts}
+        assert all(v == ref[ell] for ell, v in kept.items()), model
+        assert all(ell in kept for ell, v in ref.items() if not v.full), model
+        tail = _tail_bound(reports, facts)
+        if tail is not None:
+            dp = {r.p for r in reports}
+            assert all(v.full for ell, v in ref.items() if ell > tail and ell not in dp), model
+
+
+def test_theorem5_tail_bound_from_ord_j_in_chain_b():
+    model = _curve_with_j(Fraction(13, 2**17))
+    reports = bad_primes(model)
+    assert [r.p for r in reports if r.potential == "potentiallyMultiplicative"] == [2]
+    assert _tail_bound(reports, _curve_facts(reports)) == 17
+    rep = theorem5_report(model, scan_bound=100)
+    assert rep.smallest_full == 11 and 17 in rep.exceptional
+    assert [v.ell for v in rep.verdicts] == [2, 3, 5, 7, 11, 13, 17]
