@@ -3,11 +3,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from shascope import cli, curves, ffcurve, numfield
 from shascope.cli import main
+from shascope.poly import ZZ, ExactPoly
 
 EX3_MIN = "-5316979,-4724275762"
 
@@ -33,6 +35,40 @@ def test_big_integers_as_strings(capsys):
     doc = json.loads(out)
     assert isinstance(doc["delta"], str)  # exceeds 2^53
     assert int(doc["delta"]) % 8420798017 == 0
+
+
+class _Int(int):
+    pass
+
+
+class _LoudInt(int):
+    def __str__(self):
+        return "loud"
+
+
+@pytest.mark.parametrize(
+    "value, line",
+    [
+        (True, "true"),
+        (False, "false"),
+        (2**53 - 1, "9007199254740991"),
+        (-(2**53 - 1), "-9007199254740991"),
+        (2**53, '"9007199254740992"'),
+        (-(2**53), '"-9007199254740992"'),
+        (_Int(7), "7"),
+        (_Int(2**60), '"1152921504606846976"'),
+        (_LoudInt(7), "7"),
+        (_LoudInt(2**60), '"loud"'),
+        (
+            (1, [Fraction(2**60 + 1, 3), {"k": (ExactPoly.from_ints(ZZ, (3, 0, -(2**54))), None)}], {5: "s"}),
+            '[1,[{"den":3,"num":"1152921504606846977"},{"k":[[3,0,"-18014398509481984"],null]}],{"5":"s"}]',
+        ),
+    ],
+)
+def test_emit_bytes_pinned(capsys, value, line):
+    # bytes from the isinstance-chain encoder; int subclasses take its path
+    cli._emit(value)
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_exceptional_fixture(capsys):

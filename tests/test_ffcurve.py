@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shascope import ffcurve
@@ -160,6 +162,26 @@ def test_squares_table_certifies_that_p_is_prime():
     # the ceiling is checked before the table is built
     with pytest.raises(BudgetError, match="ceiling exceeded: p=1000002 > 1000000"):
         group_order(FpCurve(1000002, 1, 1))
+
+
+def test_count_matches_a_sum_over_every_x():
+    # oracle: 1 + sum over all x of #{y : y^2 = x^3 + Ax + B}, from a table of
+    # squares mod p; A = 0 and B = 0 (b = 0 reads R[0]) next to seeded (A, B)
+    rng = random.Random(20)
+    for p in range(5, 700):
+        if not is_prime(p):
+            continue
+        roots = [0] * p
+        for y in range(p):
+            roots[y * y % p] += 1
+        curves = [(0, rng.randrange(1, p)), (rng.randrange(1, p), 0)]
+        curves += [(rng.randrange(1, p), p * rng.randrange(-9, 9))]
+        curves += [(rng.randrange(-p * p, p * p), rng.randrange(-p * p, p * p)) for _ in range(3)]
+        for A, B in curves:
+            if (4 * A**3 + 27 * B**2) % p == 0:
+                continue
+            want = 1 + sum(roots[(x**3 + A * x + B) % p] for x in range(p))
+            assert group_order(FpCurve(p, A, B)) == want, (p, A, B)
 
 
 def test_ell_primary_matches_point_order_oracle():
