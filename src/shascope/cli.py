@@ -26,6 +26,17 @@ MAX_N_CEILING = 10**4  # largest verify-identities --max-n: about one TopTable s
 
 
 def _enc(x):
+    # exact types first: the isinstance chain below is the slow path, kept in
+    # its order for subclasses (int subclasses, Fraction, ExactPoly, dataclasses)
+    t = type(x)
+    if t is int:
+        return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
+    if t is list or t is tuple:
+        return [_enc(v) for v in x]
+    if t is dict:
+        return {str(k): _enc(v) for k, v in x.items()}
+    if t is str or t is bool or x is None:
+        return x
     if x is None or isinstance(x, (bool, str)):
         return x
     if isinstance(x, int):

@@ -5,6 +5,8 @@ ell-primary components.
 FpCurve, for p up to ORDER_CEILING. The group structure and the
 ell-primary parts are then proven from that count with a few lazily
 enumerated points: a basis per Sylow subgroup, no pass over all the points.
+The squares table, #E and each Sylow basis are kept on the FpCurve, so
+group_structure and ell_primary on one curve walk each Sylow subgroup once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ def check_order_ceiling(p: int) -> None:
 
 @dataclass(frozen=True)
 class FpCurve:
-    """y^2 = x^3 + Ax + B over F_p. The squares table and #E(F_p) are
-    computed on first use and kept on the instance, so a caller that reduces
-    a curve once counts its points once."""
+    """y^2 = x^3 + Ax + B over F_p. The squares table, #E(F_p) and the
+    q-Sylow bases are computed on first use and kept on the instance, so a
+    caller that reduces a curve once counts its points once and walks each
+    Sylow subgroup once."""
 
     p: int
     A: int
@@ -79,13 +82,26 @@ class FpCurve:
 
     @cached_property
     def _order(self) -> int:
-        """#E(F_p) from the squares table, x and -x together: f(+-x) = B +- x(x^2 + A)."""
-        p, A, B, t = self.p, self.A, self.B, self._squares
-        odd = [x * (x * x + A) for x in range(1, (p + 1) // 2)]
-        n = 1 + t[B % p] + sum([t[(B + g) % p] + t[(B - g) % p] for g in odd])
+        """#E(F_p) from the squares table, x and -x together: f(+-x) = b +- g
+        with b = B mod p and g = x(x^2 + A) mod p, one reduction per pair.
+
+        The table is rotated, T[k] = t[(b + k) mod p], and reflected,
+        R[k] = t[(b - k) mod p] (R[0] = T[0], R[k] = T[p - k]), so the pair
+        x, -x adds T[g] + R[g].
+        """
+        p, A, t = self.p, self.A, self._squares
+        b = self.B % p
+        T = t[b:] + t[:b]
+        R = T[:1] + T[:0:-1]
+        n = 1 + t[b] + sum([T[g := x * (x * x + A) % p] + R[g] for x in range(1, (p + 1) // 2)])
         if abs(n - (p + 1)) > 2 * isqrt(p) + 2:
             raise InvariantViolation(f"Hasse bound violated: order {n} at p={p}")
         return n
+
+    @cached_property
+    def _sylow_bases(self) -> dict:
+        """q -> the q-Sylow basis, filled by _sylow_basis."""
+        return {}
 
 
 def reduce_curve(model: ShortModel, p: int) -> FpCurve:
@@ -213,9 +229,10 @@ def _off_line(curve: FpCurve, R, q: int, v: int, R1, k1: int, line: dict) -> tup
     return R, k
 
 
-def _sylow_basis(curve: FpCurve, N: int, q: int, v: int) -> tuple:
+def _sylow_basis(curve: FpCurve, q: int) -> tuple:
     """((R1, k1), (R2, k2)) with k1 >= k2, k1 + k2 = v, spanning the q-Sylow
-    subgroup S = (N/q^v)·E(F_p), which has q^v points by the count.
+    subgroup S = (N/q^v)·E(F_p), which has q^v points by the count N = #E
+    and v = v_q(N). Walked once per curve and q, then read from the curve.
 
     The points are walked lazily and mapped into S. A point of order q^v
     proves S cyclic (R2 = O). Otherwise R1 is the longest element so far and
@@ -223,13 +240,19 @@ def _sylow_basis(curve: FpCurve, N: int, q: int, v: int) -> tuple:
     add up to v. Then <R1> ∩ <R2> = {O}, so |<R1, R2>| = q^v = |S| and
     S = Z/q^k2 x Z/q^k1, proven from the exact count.
     """
+    bases = curve._sylow_bases
+    if q in bases:
+        return bases[q]
+    N = group_order(curve)
+    v = padic_val(N, q)
     m = N // q**v
     top = None  # (R1, k1, _line of R1): the element of largest order so far
     for P in _affine_points(curve):
         R = scalar_mul(curve, m, P)
         k, low = _exponent(curve, R, q, v)
         if k == v:
-            return (R, v), (INFINITY, 0)
+            basis = (R, v), (INFINITY, 0)
+            break
         if k == 0:
             continue
         if top is None or k > top[1]:  # R is the new longest; reduce the old one instead
@@ -238,8 +261,12 @@ def _sylow_basis(curve: FpCurve, N: int, q: int, v: int) -> tuple:
         if top[1] + k2 > v:
             raise InvariantViolation(f"{q}-Sylow subgroup exceeds {q}^{v} points")
         if top[1] + k2 == v:
-            return top[:2], (R2, k2)
-    raise InvariantViolation(f"no basis of the {q}-Sylow subgroup of order {q}^{v}")
+            basis = top[:2], (R2, k2)
+            break
+    else:
+        raise InvariantViolation(f"no basis of the {q}-Sylow subgroup of order {q}^{v}")
+    bases[q] = basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -264,8 +291,8 @@ def group_structure(curve: FpCurve) -> GroupStructure:
     N = group_order(curve)
     gen2 = gen1 = INFINITY
     n1 = 1
-    for q, v in factorize(N):
-        (R1, _), (R2, k2) = _sylow_basis(curve, N, q, v)
+    for q, _ in factorize(N):
+        (R1, _), (R2, k2) = _sylow_basis(curve, q)
         gen2, gen1 = add(curve, gen2, R1), add(curve, gen1, R2)
         n1 *= q**k2
     if (curve.p - 1) % n1:
@@ -294,7 +321,7 @@ def ell_primary(curve: FpCurve, ell: int) -> EllPrimary:
         raise DomainError(f"{ell} is not prime")
     N = group_order(curve)
     v = padic_val(N, ell)
-    (R1, e2), (R2, e1) = _sylow_basis(curve, N, ell, v)
+    (R1, e2), (R2, e1) = _sylow_basis(curve, ell)
     n1, n2 = ell**e1, ell**e2
     by_order: dict[int, list] = {}
     S = INFINITY

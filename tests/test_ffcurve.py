@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from shascope import ffcurve
-from shascope.arith import is_prime, padic_val
+from shascope import cli, ffcurve
+from shascope.arith import factorize, is_prime, padic_val
 from shascope.curves import ShortModel
 from shascope.errors import BadReductionError, BudgetError, DomainError
 from shascope.ffcurve import (
@@ -182,6 +182,26 @@ def test_count_matches_a_sum_over_every_x():
                 continue
             want = 1 + sum(roots[(x**3 + A * x + B) % p] for x in range(p))
             assert group_order(FpCurve(p, A, B)) == want, (p, A, B)
+
+
+def test_each_sylow_subgroup_is_walked_once_per_curve(capsys, monkeypatch):
+    walks = []
+    affine_points = ffcurve._affine_points
+    monkeypatch.setattr(ffcurve, "_affine_points", lambda c: walks.append(c) or affine_points(c))
+    cases = ((13, -1, 0, 2), (421, 1, 1, 5), (1051, 2, 3, 2), (10007, 1, 1, 3), (15061, -43, 166, 3))
+    for p, A, B, ell in cases:
+        primes = factorize(group_order(FpCurve(p, A % p, B % p))).primes()
+        assert ell in primes
+        walks.clear()
+        assert cli.main(["ffgroup", "--p", str(p), "--ell", str(ell), "--curve", f"{A},{B}"]) == 0
+        assert capsys.readouterr().out
+        assert len(walks) == len(primes), (p, A, B)
+        # group_structure, then ell_primary, on one curve; ell_primary alone on a fresh one
+        walks.clear()
+        c = FpCurve(p, A % p, B % p)
+        group_structure(c)
+        assert ell_primary(c, ell) == ell_primary(FpCurve(p, A % p, B % p), ell)
+        assert len(walks) == len(primes) + 1, (p, A, B)
 
 
 def test_ell_primary_matches_point_order_oracle():
