@@ -26,8 +26,8 @@ MAX_N_CEILING = 10**4  # largest verify-identities --max-n: about one TopTable s
 
 
 def _enc(x):
-    # exact types first: the isinstance chain below is the slow path, kept in
-    # its order for subclasses (int subclasses, Fraction, ExactPoly, dataclasses)
+    # the common exact types first; everything else (int subclasses, Fraction,
+    # ExactPoly, dataclasses) takes the isinstance chain below, in its order
     t = type(x)
     if t is int:
         return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
