@@ -26,31 +26,21 @@ MAX_N_CEILING = 10**4  # largest verify-identities --max-n: about one TopTable s
 
 
 def _enc(x):
-    # the common exact types first; everything else (int subclasses, Fraction,
-    # ExactPoly, dataclasses) takes the isinstance chain below, in its order
     t = type(x)
-    if t is int:
-        return x if -_JSON_INT_LIMIT < x < _JSON_INT_LIMIT else str(x)
+    if t is str or t is bool or x is None:
+        return x
+    if isinstance(x, int):
+        return x if abs(x) < _JSON_INT_LIMIT else str(x)
     if t is list or t is tuple:
         return [_enc(v) for v in x]
     if t is dict:
         return {str(k): _enc(v) for k, v in x.items()}
-    if t is str or t is bool or x is None:
-        return x
-    if x is None or isinstance(x, (bool, str)):
-        return x
-    if isinstance(x, int):
-        return x if abs(x) < _JSON_INT_LIMIT else str(x)
     if isinstance(x, Fraction):
         return {"num": _enc(x.numerator), "den": _enc(x.denominator)}
     if isinstance(x, ExactPoly):
         return [_enc(c) for c in x.coeffs]
     if dataclasses.is_dataclass(x):
         return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _enc(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_enc(v) for v in x]
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
