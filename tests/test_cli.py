@@ -508,6 +508,51 @@ def test_exceptional_stdout_pinned(capsys, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+# (structure, curve, sha256 of `torsion --curve A,B` stdout): the first curve of
+# each of Mazur's 15 groups in tests/test_torsionq.py::mazur_family_curves, and
+# the Z/5Z curve whose delta' defeats the factoring budget
+TORSION_PINS = [
+    ("trivial", "1,1",
+     "1217b06d9add9d9546dc8f5567635308b66ba7ae780385d54990cac5f4b9ab4d"),
+    ("Z/2Z", "1,0",
+     "aea6f3d5709b203160aee4d0a8b2700d6d5a2715b48b54d5e27bc220162ff602"),
+    ("Z/3Z", "0,16",
+     "90b5d5481af06f21dcc0af3037dbdbf28fd1677c94e28e13c6520f1a520f7021"),
+    ("Z/2Z x Z/2Z", "-1,0",
+     "37a70c83e43400be66559d687b71b326d8470e27e7a266d1bb47316791e74e87"),
+    ("Z/4Z", "-3807,-10206",
+     "13e406f340349ed1db9eb91c542112f7b18f1081754782085a3b44d1582af04a"),
+    ("Z/5Z", "847577088,111949765410816",
+     "01b2812e85ef5b5aa615bf5da565a6ed7c0a6cda371ea8cb9e4d2f1340dcada5"),
+    ("Z/6Z", "-21447770112,-180587839094784",
+     "ef33722d7442be7faecce6d60c0dca9744ee6047eb5312bd86dc104986d553ce"),
+    ("Z/7Z", "-131811309363658752,79444951080688873579216896",
+     "d9a9a5f9c29c14534480b2ebbf860b5b798800cd25cced80e9ed3d0cc4dd6031"),
+    ("Z/8Z", "-457308483123779296875,2934748163446784019470214843750",
+     "e0ae213742719156290e3ccfdcf34288669ef1b0a21ae71646b31aadea35dcbf"),
+    ("Z/9Z", "-21594729012303309897203712,169486234851313731731261192641148092416",
+     "e088ad1f5eeb5cbf58eb4540b6b669430e55f1632c8b3547eaa2142c68c71458"),
+    ("Z/10Z", "-113976747,-403511239386",
+     "e4a114a0b042c6df06ce8151837e32317e246f17408474ae4ecd963c11387d86"),
+    ("Z/12Z", "-580370176922571521377119623805560667,164777749442383304184806388553159670001022757781223926",
+     "7bb6501380bd333526e9bb03da9589d88558a1ed09ea9ff843c5abcfc5cca36f"),
+    ("Z/2Z x Z/4Z", "-20173750272,-604010880958464",
+     "ae4d426ab2213c0fa899aae2c9d426c2d82e98951bc0d32eac0c36fab8675c31"),
+    ("Z/2Z x Z/6Z", "-27813117554749732103511670827,1312896294181385744703680423846225354252454",
+     "729bc5e3eaad6c95a17e3509ef8330b2f716a6dd68f787aa58f3e2a64c32c713"),
+    ("Z/2Z x Z/8Z", "-90881851392,6184700661989376",
+     "3625ad50e02f46f6f99260f88591fbf8bb84647c1a3f55e94470cb0fe618e4b9"),
+    ("Z/5Z, hard delta'", "-1088382440013156289861436532473788376816667,532349188256970958899849949447401312703223804875246209871211574",
+     "2ab2f503501da0e2ec90a40bb385ca82b348d062b60aa6f1222ac4fb5a217c15"),
+]
+
+
+@pytest.mark.parametrize("structure,curve,digest", TORSION_PINS, ids=[s for s, *_ in TORSION_PINS])
+def test_torsion_stdout_pinned(capsys, structure, curve, digest):
+    code, out, _ = run_cli(capsys, "torsion", "--curve", curve)
+    assert code == 0 and json.loads(out)["structure"] == structure.split(",")[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_exceptional_minimizes_the_model_once(capsys, monkeypatch):
     calls = []
