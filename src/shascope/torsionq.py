@@ -7,13 +7,17 @@ order k, and psi (k = 2) or f_k (k >= 3) is squarefree mod p0, so x(P) is
 the p0-adic root lifting x(R). By Nagell-Lutz P is integral with y = 0 or
 y^2 | delta', so |x(P)| <= 1 + max(|A|, |B| + |delta'|) (Cauchy), and the
 lift mod p0^e above twice that bound, as a symmetric residue, is x(P).
-Nothing here factors delta'.
+
+Conversely, an integral point P = (x, y) of E with h(x) = 0, h = psi (k = 2)
+or f_k, has [k]P = O, and P or -P reduces to R; by injectivity P has order k.
+So the group law is needed only on the reductions: the points found are
+closed under addition over Q iff their reductions are closed in E(F_p0).
+Nothing here factors delta' or adds points over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 
@@ -21,7 +25,7 @@ from .arith import is_prime
 from .curves import ShortModel, minimize_short
 from .divpoly import DivisionTable
 from .errors import InvariantViolation
-from .ffcurve import INFINITY, FpCurve, enumerate_points, group_order, point_order as fp_point_order
+from .ffcurve import INFINITY, FpCurve, add, enumerate_points, group_order, point_order as fp_point_order
 from .poly import ZZ
 
 MAZUR_ORDER_BOUND = 16
@@ -35,43 +39,12 @@ class TorsionGroup:
     points: tuple  # affine (x, y) integer pairs, sorted; O omitted
 
 
-def _add_q(A: int, B: int, P, Q):
-    """Exact group law over Q; points are (Fraction, Fraction) or INFINITY."""
-    if P is INFINITY:
-        return Q
-    if Q is INFINITY:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and y1 + y2 == 0:
-        return INFINITY
-    if P == Q:
-        lam = (3 * x1 * x1 + A) / (2 * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    return (x3, y3)
-
-
-def _torsion_order(A: int, B: int, P) -> int | None:
-    """Order of P if it is torsion of order <= 16, else None."""
-    R = P
-    for n in range(2, MAZUR_ORDER_BOUND + 2):
-        R = _add_q(A, B, R, P)
-        if R is INFINITY:
-            return n
-        # torsion points stay integral; a non-integral multiple ends the search
-        if R[0].denominator != 1 or R[1].denominator != 1:
-            return None
-    return None
-
-
 def rational_torsion(model: ShortModel) -> TorsionGroup:
-    """Torsion subgroup of the minimized model: the integral points over the
-    lifts of x(R), R in E(F_p0) of order k | n with k <= 16, kept iff some
-    multiple <= 16 hits O; the result is checked to be closed under the group
-    law. n runs over GOOD_PRIMES good p >= 5, or stops at n = 1.
+    """Torsion subgroup of the minimized model: the integral points P over the
+    lifts of x(R), R in E(F_p0) of order k | n with k <= 16, kept iff
+    h(x(P)) = 0, which gives P the order k; checked for the order bound,
+    closure (on the reductions mod p0) and a cyclic generator. n runs over
+    GOOD_PRIMES good p >= 5, or stops at n = 1.
     """
     m, _ = minimize_short(model)
     A, B = m.A, m.B
@@ -83,10 +56,10 @@ def rational_torsion(model: ShortModel) -> TorsionGroup:
             n = gcd(n, group_order(good[-1]))
             if n == 1 or len(good) == GOOD_PRIMES:
                 break
+    curve = next(c for c in good if n % c.p)  # E(F_p0)
     pts: dict[tuple[int, int], int] = {}
 
     if n > 1:
-        curve = next(c for c in good if n % c.p)
         orders = {R[0]: fp_point_order(curve, R) for R in enumerate_points(curve)[1:]}
         table = DivisionTable(ZZ, A, B)
         bound = 2 * (1 + max(abs(A), abs(B) + abs(dp)))  # twice the bound on |x(P)|
@@ -101,20 +74,18 @@ def rational_torsion(model: ShortModel) -> TorsionGroup:
             x -= q if 2 * x > q else 0
             y2 = x**3 + A * x + B
             y = isqrt(max(y2, 0))
-            if h.evaluate(x) == 0 and y * y == y2:
-                order = _torsion_order(A, B, (Fraction(x), Fraction(y)))
-                if order is not None:
-                    pts[(x, y)] = pts[(x, -y)] = order
+            if h.evaluate(x) == 0 and y * y == y2:  # [k]P = O, so P has order k
+                pts[(x, y)] = pts[(x, -y)] = k
 
     order = len(pts) + 1
     if order > MAZUR_ORDER_BOUND:
         raise InvariantViolation(f"torsion order {order} exceeds the bound 16")
 
-    # closure check
-    members = {INFINITY} | {(Fraction(x), Fraction(y)) for (x, y) in pts}
+    # closure check, mod p0: reduction is injective on torsion
+    members = {INFINITY} | {(x % curve.p, y % curve.p) for (x, y) in pts}
     for P in members:
         for Q in members:
-            if _add_q(A, B, P, Q) not in members:
+            if add(curve, P, Q) not in members:
                 raise InvariantViolation("torsion candidate set not closed under addition")
 
     two_torsion = sum(1 for (_, y) in pts if y == 0)

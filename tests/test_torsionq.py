@@ -5,23 +5,30 @@ import sys
 from fractions import Fraction
 from math import isqrt, lcm, prod
 
+import pytest
 import sympy
+from sympy.ntheory.elliptic_curve import EllipticCurve
 
 import shascope
+from shascope import ffcurve, torsionq
 from shascope.curves import LongModel, ShortModel, minimize_short, to_short
+from shascope.errors import InvariantViolation
 from shascope.ffcurve import INFINITY, point_order, reduce_curve
-from shascope.torsionq import (
-    _add_q,
-    _torsion_order,
-    rational_torsion,
-)
+from shascope.torsionq import rational_torsion
 
 EX3_SHORT = to_short(LongModel(1, -1, 0, -332311, -73733731))
 
 
+def _torsion_order(A: int, B: int, P) -> int | None:
+    """Order of the rational point P under sympy's group law over Q if P is
+    torsion, else None; an oracle that shares no code with the package."""
+    order = EllipticCurve(A, B)(*P).order()
+    return None if order is sympy.oo else int(order)
+
+
 def brute_torsion_points(A, B, height_bound=200):
-    """Integer points of small height whose order under the exact group law
-    is finite and <= 16; independent sweep oracle."""
+    """Integer points of small height whose order under sympy's group law is
+    finite; independent sweep oracle."""
     pts = []
     for x in range(-height_bound, height_bound + 1):
         y2 = x**3 + A * x + B
@@ -30,11 +37,11 @@ def brute_torsion_points(A, B, height_bound=200):
         y = round(y2**0.5)
         for yy in (y - 1, y, y + 1):
             if yy >= 0 and yy * yy == y2:
-                o = _torsion_order(A, B, (Fraction(x), Fraction(yy)))
+                o = _torsion_order(A, B, (x, yy))
                 if o is not None:
                     pts.append((x, yy))
                 if yy:
-                    o = _torsion_order(A, B, (Fraction(x), Fraction(-yy)))
+                    o = _torsion_order(A, B, (x, -yy))
                     if o is not None:
                         pts.append((x, -yy))
                 break
@@ -54,8 +61,8 @@ def test_four_torsion_curve():
     assert t.structure == "Z/4Z"
     assert t.order == 4
     assert (2, 4) in t.points and (0, 0) in t.points
-    two = _add_q(4, 0, (Fraction(2), Fraction(4)), (Fraction(2), Fraction(4)))
-    assert two == (Fraction(0), Fraction(0))
+    P = EllipticCurve(4, 0)(2, 4)
+    assert (P + P).x == 0 and (P + P).y == 0
 
 
 def test_trivial_torsion_example3():
@@ -93,7 +100,7 @@ def torsion_injection_check(model, p, m):
     curve = reduce_curve(minimized, p)  # raises BadReductionError on bad p
     images = {INFINITY}
     for x, y in rational_torsion(model).points:
-        o = _torsion_order(minimized.A, minimized.B, (Fraction(x), Fraction(y))) if y != 0 else 2
+        o = _torsion_order(minimized.A, minimized.B, (x, y))
         if o is None or m % o != 0:
             continue
         img = (x % p, y % p)
@@ -108,11 +115,14 @@ def test_injection_into_good_reduction():
     assert torsion_injection_check(ShortModel(4, 0), 5, 4)
 
 
-def test_exact_group_law_addition():
-    # doubling (2,3) on y^2 = x^3 + 1: lambda = 12/6 = 2, x3 = 4-4 = 0, y3 = -(3+2(0-2)) = 1
-    P = (Fraction(2), Fraction(3))
-    assert _add_q(0, 1, P, P) == (Fraction(0), Fraction(1))
-    assert _add_q(0, 1, P, INFINITY) == P
+def test_closure_check_fires_on_a_wrong_group_law(monkeypatch):
+    def shifted_add(curve, P, Q):  # the true sum with x moved by 1
+        R = ffcurve.add(curve, P, Q)
+        return R if R is INFINITY else ((R[0] + 1) % curve.p, R[1])
+
+    monkeypatch.setattr(torsionq, "add", shifted_add)
+    with pytest.raises(InvariantViolation, match="not closed under addition"):
+        rational_torsion(ShortModel(0, 1))
 
 
 def _integer_roots_monic_cubic(A: int, c: int) -> list[int]:
@@ -148,14 +158,14 @@ def nagell_lutz_points(model: ShortModel) -> tuple:
     """Affine torsion points of the minimized model by the Nagell-Lutz sieve,
     an oracle independent of reduction mod p: (x, 0) for the integer roots of
     the cubic, and (x, +-y) for y > 0 with y^2 | delta' and x an integer root
-    of X^3 + AX + B - y^2, kept iff some multiple <= 16 hits O."""
+    of X^3 + AX + B - y^2, kept iff sympy's group law gives it a finite order."""
     m, _ = minimize_short(model)
     A, B = m.A, m.B
     pts = {(x, 0) for x in _integer_roots_monic_cubic(A, B)}
     half = prod(p ** (e // 2) for p, e in sympy.factorint(m.delta_prime()).items())
     for y in sympy.divisors(half):
         for x in _integer_roots_monic_cubic(A, B - y * y):
-            if _torsion_order(A, B, (Fraction(x), Fraction(y))) is not None:
+            if _torsion_order(A, B, (x, y)) is not None:
                 pts |= {(x, y), (x, -y)}
     return tuple(sorted(pts))
 
@@ -237,7 +247,7 @@ def test_large_five_torsion_curve_within_the_timeout():
     assert run.returncode == 0
     t = rational_torsion(ShortModel(A, B))
     assert t.structure == "Z/5Z" and len(t.points) == 4
-    assert all(_torsion_order(A, B, (Fraction(x), Fraction(y))) == 5 for x, y in t.points)
+    assert all(_torsion_order(A, B, P) == 5 for P in t.points)
     assert '"structure":"Z/5Z"' in run.stdout
 
 
