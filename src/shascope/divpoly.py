@@ -16,11 +16,14 @@ The division by 2 is asserted exact at runtime. deg f_n = (n^2-1)/2 for odd n
 and (n^2-4)/2 for even n; the roots of f_n are the x-coordinates of the
 nonzero n-torsion (odd n) resp. n-torsion with 2-torsion removed (even n).
 
-Three tables run that recursion. DivisionTable holds whole f_n, up to a
-degree ceiling. ReducedTable holds f_n mod a fixed monic M. TopTable holds
-the top two coefficients of f_n, leading first: rev(f_n) = X^d f_n(1/X)
-mod X^2 with d = d_n = expected_degree(n), whether or not the degree drops
-mod p. Reversal at these formal degrees commutes with the recursion:
+Three tables run that recursion through one fill path: DivisionTable.f
+checks a budget, then _fill memoizes f_n and each f_k it reads, smallest k
+first; the tables differ only in the budget and in _reduce. DivisionTable
+holds whole f_n, up to a degree ceiling, and checks each degree.
+ReducedTable holds f_n mod a fixed monic M. TopTable holds the top two
+coefficients of f_n, leading first: rev(f_n) = X^d f_n(1/X) mod X^2 with
+d = d_n = expected_degree(n), whether or not the degree drops mod p.
+Reversal at these formal degrees commutes with the recursion:
 
     rev_{d+e}(P Q) = rev_d(P) rev_e(Q)      (deg P <= d, deg Q <= e)
     rev_d(P - Q)   = rev_d(P) - rev_d(Q)     (deg P, deg Q <= d)
@@ -83,27 +86,18 @@ class DivisionTable:
         if n < 0:
             raise DomainError("f_n defined for n >= 0")
         if n not in self._memo:
-            expected = self.expected_degree(n)
-            if expected > DEGREE_CEILING:
-                raise BudgetError(f"f_{n} degree {expected} exceeds ceiling {DEGREE_CEILING}")
-            val = self._step(n)
-            # in characteristic p the leading coefficient (= n) can vanish,
-            # so the degree may drop; over characteristic 0 it is exact
-            degree_ok = (
-                val.degree() <= expected
-                if self.ring.characteristic
-                else val.degree() == expected
-            )
-            if not degree_ok:
-                raise InvariantViolation(
-                    f"f_{n} degree {val.degree()} != expected {expected}"
-                )
-            self._memo[n] = val
+            self._check_budget(n)
+            self._fill(n)
         return self._memo[n]
 
+    def _check_budget(self, n: int) -> None:
+        expected = self.expected_degree(n)
+        if expected > DEGREE_CEILING:
+            raise BudgetError(f"f_{n} degree {expected} exceeds ceiling {DEGREE_CEILING}")
+
     def _step(self, n: int) -> ExactPoly:
-        """f_n for n >= 5 by the f_{2m} / f_{2m+1} recursion over self.f."""
-        f, d = self.f, self.expected_degree
+        """f_n for n >= 5 by the f_{2m} / f_{2m+1} recursion over the memo."""
+        f, d = self._memo.__getitem__, self.expected_degree
         m = n // 2
         # Squares are formed as x * x, which the multiply kernels square. The
         # other factors join one at a time: over Z[A,B], whose products stay
@@ -111,7 +105,7 @@ class DivisionTable:
         if n % 2 == 0:
             t = f(m + 2) * (f(m - 1) * f(m - 1)) - f(m - 2) * (f(m + 1) * f(m + 1))
             _same_degree(n, d(m) + d(m + 2) + 2 * d(m - 1), d(m) + d(m - 2) + 2 * d(m + 1))
-            return self._reduce(f(m) * t).exact_div_scalar(self.ring.from_int(2))
+            return self._reduce(n, f(m) * t).exact_div_scalar(self.ring.from_int(2))
         a = f(m + 2) * (f(m) * f(m)) * f(m)
         b = f(m + 1) * (f(m + 1) * f(m + 1)) * f(m - 1)
         da, db = d(m + 2) + 3 * d(m), 3 * d(m + 1) + d(m - 1)
@@ -120,9 +114,16 @@ class DivisionTable:
         else:
             b, db = b * self._psi2, db + 6
         _same_degree(n, da, db)
-        return self._reduce(a - b)
+        return self._reduce(n, a - b)
 
-    def _reduce(self, val: ExactPoly) -> ExactPoly:
+    def _reduce(self, n: int, val: ExactPoly) -> ExactPoly:
+        """Keep val = f_n (2 f_n before the exact halving, of the same degree)
+        whole, after its degree check."""
+        expected = self.expected_degree(n)
+        # in characteristic p the leading coefficient (= n) can vanish,
+        # so the degree may drop; over characteristic 0 it is exact
+        if not (val.degree() <= expected if self.ring.characteristic else val.degree() == expected):
+            raise InvariantViolation(f"f_{n} degree {val.degree()} != expected {expected}")
         return val
 
     def _fill(self, n: int) -> None:
@@ -131,8 +132,6 @@ class DivisionTable:
         Each _step then finds the f_k it reads in the memo, so no Python
         recursion builds up, however large n is.
         """
-        if n < 0:
-            raise DomainError("f_n defined for n >= 0")
         todo, need = [n], set()
         while todo:
             k = todo.pop()
@@ -162,15 +161,13 @@ class ReducedTable(DivisionTable):
     def __init__(self, ring: Ring, A, B, modulus: ExactPoly):
         self.modulus = modulus
         super().__init__(ring, A, B)
-        self._psi2 = self._reduce(self._psi2)
-        self._memo = {k: self._reduce(v) for k, v in self._memo.items()}
+        self._psi2 = self._psi2.mod(modulus)
+        self._memo = {k: v.mod(modulus) for k, v in self._memo.items()}
 
-    def f(self, n: int) -> ExactPoly:
-        if n not in self._memo:
-            self._fill(n)
-        return self._memo[n]
+    def _check_budget(self, n: int) -> None:
+        """None: each value has degree < deg M."""
 
-    def _reduce(self, val: ExactPoly) -> ExactPoly:
+    def _reduce(self, n: int, val: ExactPoly) -> ExactPoly:
         return val.mod(self.modulus)
 
 
@@ -185,23 +182,17 @@ class TopTable(DivisionTable):
 
     def __init__(self, ring: Ring, A, B):
         super().__init__(ring, A, B)
-        c = ring.from_int
-        self.psi = self._reduce(ExactPoly.make(ring, [c(1), c(0), A, B]))  # rev(psi)
-        self._psi2 = self._reduce(self.psi * self.psi)
+        # rev(psi) = 1 + AX^2 + BX^3 = 1 mod X^2
+        self.psi = self._psi2 = ExactPoly.const(ring, ring.from_int(1))
         for n, v in self._memo.items():  # rev(f_n) mod X^2: the X^{d_n}, X^{d_n - 1} coefficients
             d = self.expected_degree(n)
             self._memo[n] = ExactPoly.make(ring, [v.coeff(d), v.coeff(d - 1)])
 
-    def f(self, n: int) -> ExactPoly:
-        if n not in self._memo:
-            if n.bit_length() > TOP_BITS_CEILING:
-                raise BudgetError(
-                    f"f_n for n of {n.bit_length()} bits exceeds ceiling {TOP_BITS_CEILING} bits"
-                )
-            self._fill(n)
-        return self._memo[n]
+    def _check_budget(self, n: int) -> None:
+        if n.bit_length() > TOP_BITS_CEILING:
+            raise BudgetError(f"f_n for n of {n.bit_length()} bits exceeds ceiling {TOP_BITS_CEILING} bits")
 
-    def _reduce(self, val: ExactPoly) -> ExactPoly:
+    def _reduce(self, n: int, val: ExactPoly) -> ExactPoly:
         return ExactPoly.make(self.ring, val.coeffs[:2])
 
 
