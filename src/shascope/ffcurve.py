@@ -205,13 +205,17 @@ def _exponent(curve: FpCurve, R, q: int, v: int) -> tuple:
     return k, low
 
 
+def _multiples(curve: FpCurve, R, n: int, start=INFINITY):
+    """start + j·R for 0 <= j < n, in order, with n - 1 additions."""
+    for j in range(n):
+        if j:
+            start = add(curve, start, R)
+        yield start
+
+
 def _line(curve: FpCurve, low, q: int) -> dict:
     """{j·low: j for 0 <= j < q}, the subgroup of order q through low."""
-    line, T = {INFINITY: 0}, low
-    for j in range(1, q):
-        line[T] = j
-        T = add(curve, T, low)
-    return line
+    return {T: j for j, T in enumerate(_multiples(curve, low, q))}
 
 
 def _off_line(curve: FpCurve, R, q: int, v: int, R1, k1: int, line: dict) -> tuple:
@@ -238,13 +242,16 @@ def _sylow_basis(curve: FpCurve, q: int) -> tuple:
     proves S cyclic (R2 = O). Otherwise R1 is the longest element so far and
     each new element is reduced modulo <R1> (_off_line) until the orders
     add up to v. Then <R1> ∩ <R2> = {O}, so |<R1, R2>| = q^v = |S| and
-    S = Z/q^k2 x Z/q^k1, proven from the exact count.
+    S = Z/q^k2 x Z/q^k1, proven from the exact count. At v = 0, S = {O}
+    and no point is walked.
     """
     bases = curve._sylow_bases
     if q in bases:
         return bases[q]
     N = group_order(curve)
     v = padic_val(N, q)
+    if v == 0:
+        return (INFINITY, 0), (INFINITY, 0)
     m = N // q**v
     top = None  # (R1, k1, _line of R1): the element of largest order so far
     for P in _affine_points(curve):
@@ -324,15 +331,11 @@ def ell_primary(curve: FpCurve, ell: int) -> EllPrimary:
     (R1, e2), (R2, e1) = _sylow_basis(curve, ell)
     n1, n2 = ell**e1, ell**e2
     by_order: dict[int, list] = {}
-    S = INFINITY
-    for b in range(n1):
-        Q = S
-        for a in range(n2):
+    for b, S in enumerate(_multiples(curve, R2, n1)):
+        for a, Q in enumerate(_multiples(curve, R1, n2, S)):
             if Q is not INFINITY:
                 o = max(n2 // gcd(a, n2), n1 // gcd(b, n1))
                 by_order.setdefault(o, []).append(Q)
-            Q = add(curve, Q, R1)
-        S = add(curve, S, R2)
     points = {P for pts in by_order.values() for P in pts}
     if 1 + len(points) != ell**v:
         raise InvariantViolation(f"ell-Sylow basis spans {1 + len(points)} points, not {ell}^{v}")

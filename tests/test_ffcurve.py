@@ -204,6 +204,19 @@ def test_each_sylow_subgroup_is_walked_once_per_curve(capsys, monkeypatch):
         assert len(walks) == len(primes) + 1, (p, A, B)
 
 
+def test_ell_primary_makes_no_addition_when_ell_does_not_divide_the_order(monkeypatch):
+    # v_3(#E) = 0 on both: the 3-Sylow subgroup is {O}, known from the count
+    for p, A, B in ((999983, 1, 1), (9001, 5, 7)):
+        c = FpCurve(p, A, B)
+        group_structure(c)
+        assert padic_val(group_order(c), 3) == 0
+        calls = []
+        monkeypatch.setattr(ffcurve, "add", lambda *args: calls.append(1) or add(*args))
+        assert ell_primary(c, 3) == ffcurve.EllPrimary(3, 1, 0, 0, True, {})
+        monkeypatch.undo()
+        assert calls == [], (p, A, B)
+
+
 def test_ell_primary_matches_point_order_oracle():
     non_cyclic = 0
     for A, B in ((1, 1), (3, 2), (0, 1), (-1, 0)):
