@@ -2,16 +2,19 @@
 
 Everything here consumes local reduction data (per-prime reduction reports)
 and produces either a verdict that the mod-ell image is the full group
-GL_2(F_ell), or a reason the rules don't decide. The headline product is
-`theorem5_report`: the finite candidate set of primes ell at which the image
-can fail to be full, together with a per-ell audit trail.
+GL_2(F_ell), or a reason the rules don't decide. Three chains decide (see
+`image_verdict`): a (semistable), b (a Tate witness and a Phi-order prime
+that excludes Borel images) and e (a Tate witness and ell > 37, from Serre,
+Invent. Math. 15 (1972), Prop. 15, and Mazur, Invent. Math. 44 (1978)). The
+headline product is `theorem5_report`: the finite candidate set of primes
+ell at which the image can fail to be full, together with a per-ell audit
+trail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, delta_prime_factorization, reduction_report, to_short
@@ -27,6 +30,7 @@ def small_exceptional(ell: int) -> bool:
 
 
 SMALL_EXCEPTIONAL = tuple(filter(small_exceptional, primes_below(14)))  # (ell-1) | 12 forces ell <= 13
+MAZUR_ISOGENY_BOUND = 37  # the largest degree of a rational isogeny of prime degree on a non-CM curve over Q
 
 
 def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:
@@ -110,21 +114,6 @@ def borel_excluded(
     return False, None, notes
 
 
-def serre_bound(p: int) -> int:
-    """floor((sqrt(p) + 1)^8), computed exactly in Z[sqrt(p)].
-
-    (sqrt(p)+1)^8 = a + b*sqrt(p) with a, b non-negative integers, so the
-    floor is a + isqrt(b^2 * p) (exact when p is a perfect square).
-    """
-    if p < 2:
-        raise DomainError("p >= 2 required")
-    # (x + y*sqrt(p))^2 iterated three times from (1 + sqrt(p))
-    a, b = 1, 1  # a + b sqrt(p)
-    for _ in range(3):
-        a, b = a * a + b * b * p, 2 * a * b
-    return a + isqrt(b * b * p)
-
-
 def semistable_rule(reports: list[ReductionReport], ell: int) -> bool:
     """Full image for ell >= 11 when every bad prime is multiplicative."""
     if not reports:
@@ -148,78 +137,56 @@ def image_verdict(reports: list[ReductionReport], ell: int) -> Verdict:
       b. ell >= 5, the Tate order rule holds at some p0, and Borel images are
          excluded via a potentially good prime p != ell (shared Phi-order
          factor q with q coprime to p0(p0 - 1)).
-      c. ell > serre_bound(p) for the smallest good prime p, ell does not
-         divide delta', and the Tate order rule holds.
+      e. ell > 37 and the Tate order rule holds at some p0. The Tate curve at
+         p0 puts an element of order ell in the image, also at p0 = ell: over
+         Q_ell(mu_ell), of ramification index ell - 1, ord(q) stays prime to
+         ell, so q^(1/ell) gives a Kummer extension of degree ell acting by an
+         order-ell unipotent (a quadratic twist keeps its square). By Serre
+         1972, Prop. 15, the image contains SL_2(F_ell) or is Borel. j is not
+         integral at p0, so E has no CM and, by Mazur 1978, no rational
+         ell-isogeny; det is surjective over Q.
     """
     if not is_prime(ell):
         raise DomainError("ell must be prime")
-    return _image_verdict(reports, _curve_facts(reports), ell)
+    return _image_verdict(reports, phi_prime_sets(reports), ell)
 
 
-def _curve_facts(reports: list[ReductionReport]) -> tuple[list, int, int]:
-    """The ell-independent inputs of the chains: the Phi-order prime sets, the
-    smallest prime of good reduction and its serre_bound."""
-    bad = {r.p for r in reports}
-    p = next(q for q in count(2) if q not in bad and is_prime(q))
-    return phi_prime_sets(reports), p, serre_bound(p)
-
-
-def _image_verdict(reports: list[ReductionReport], facts: tuple[list, int, int], ell: int) -> Verdict:
-    phi_sets, p, sb = facts
-    reasons: list[str] = []
-
+def _image_verdict(
+    reports: list[ReductionReport], phi_sets: list[tuple[int, list[int], list[str]]], ell: int
+) -> Verdict:
     if semistable_rule(reports, ell):
         return Verdict(ell, True, "a", ("all bad primes multiplicative and ell >= 11",))
 
     witnesses = tate_witnesses(reports, ell)
-    tate_ok = bool(witnesses)
-    p0 = witnesses[0] if witnesses else None
-    if not tate_ok:
-        reasons.append("no potentially multiplicative prime with ell coprime to ord(j)")
+    if not witnesses:
+        return Verdict(ell, False, None, ("no potentially multiplicative prime with ell coprime to ord(j)",))
 
-    if ell >= 5 and tate_ok:
+    reasons: list[str] = []
+    if ell >= 5:
         away_from_ell = [s for s in phi_sets if s[0] != ell]
         for w in witnesses:
             excluded, q, notes = borel_excluded(away_from_ell, w)
             reasons.extend(notes)
             if excluded:
-                return Verdict(
-                    ell,
-                    True,
-                    "b",
-                    tuple(
-                        reasons
-                        + [
-                            f"order-ell element from p0={w} (ord(j) coprime to ell)",
-                            f"Borel excluded via shared Phi-order prime q={q}",
-                        ]
-                    ),
-                )
+                return Verdict(ell, True, "b", (
+                    *reasons,
+                    f"order-ell element from p0={w} (ord(j) coprime to ell)",
+                    f"Borel excluded via shared Phi-order prime q={q}",
+                ))
         reasons.append("Borel exclusion inconclusive at every potentially good prime")
 
-    if tate_ok:
-        if ell > sb and all(r.p != ell for r in reports):
-            return Verdict(
-                ell,
-                True,
-                "c",
-                tuple(
-                    reasons
-                    + [
-                        f"order-ell element from p0={p0}",
-                        f"ell={ell} > serre_bound({p})={sb} and ell does not divide delta'",
-                    ]
-                ),
-            )
-        if ell > sb:
-            reasons.append(f"ell={ell} divides delta'")
-        else:
-            reasons.append(f"ell={ell} not above serre_bound for the smallest good prime")
-
-    return Verdict(ell, False, None, tuple(reasons or ("no chain applicable",)))
+    p0 = witnesses[0]
+    if ell > MAZUR_ISOGENY_BOUND:
+        return Verdict(ell, True, "e", (
+            *reasons,
+            f"order-ell element from p0={p0}: the image contains SL_2 or is Borel (Serre 1972, Prop. 15)",
+            f"j non-integral at p0={p0}, so no CM: no rational ell-isogeny for ell > {MAZUR_ISOGENY_BOUND} (Mazur 1978)",
+        ))
+    reasons.append(f"ell={ell} not above {MAZUR_ISOGENY_BOUND}, Mazur's isogeny bound")
+    return Verdict(ell, False, None, tuple(reasons))
 
 
-def _tail_bound(reports: list[ReductionReport], facts: tuple[list, int, int]) -> int | None:
+def _tail_bound(reports: list[ReductionReport], phi_sets: list[tuple[int, list[int], list[str]]]) -> int | None:
     """An L such that every prime ell > L not dividing delta' is certified full,
     or None when no chain gives one; the least L over the chains that apply.
 
@@ -227,14 +194,14 @@ def _tail_bound(reports: list[ReductionReport], facts: tuple[list, int, int]) ->
     witness, and the only ell-dependent filter left in chain b drops the
     potentially good p = ell, which divides delta'. So chain a holds for
     ell > 10, chain b for ell > max(4, |ord_{p0}(j)|) at each p0 where Borel
-    images are excluded, and chain c for ell > max(serre_bound, |ord_{p0}(j)|).
+    images are excluded, and chain e for ell > max(37, |ord_{p0}(j)|) at every
+    potentially multiplicative p0. Only a curve with integral j has no L.
     """
-    phi_sets, _, sb = facts
     bounds = [10] if reports and all(r.kind == "multiplicative" for r in reports) else []
     for r in reports:
         if r.potential == "potentiallyMultiplicative":
             oj = abs(r.ord_j)
-            bounds.append(max(sb, oj))
+            bounds.append(max(MAZUR_ISOGENY_BOUND, oj))
             if borel_excluded(phi_sets, r.p)[0]:
                 bounds.append(max(4, oj))
     return min(bounds, default=None)
@@ -254,14 +221,15 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     """Finite candidate set of primes ell with possibly non-full mod-ell image.
 
     The set is {2, 3, 5, 7, 13} union primes of delta' of the minimized model
-    union primes below scan_bound where no rule chain applies. Primes of
-    delta' are kept as candidates unconditionally (the local analysis above
-    assumes ell is coprime to the conductor support). delta' is factored with
-    the given effort (see arith.factorize).
+    union primes below scan_bound where no chain (a, b or e) applies. Primes
+    of delta' are kept as candidates unconditionally (the local analysis
+    above assumes ell is coprime to the conductor support). delta' is
+    factored with the given effort (see arith.factorize).
 
-    Above the tail bound L (see _tail_bound) every prime off delta' is
-    certified full, so verdicts go only to the scanned ell <= max(L,
-    smallest_full) and the scanned primes of delta'; with no L, to every one.
+    Above the tail bound L (see _tail_bound; at most max(37, |ord_{p0}(j)|)
+    by chain e when j is not integral) every prime off delta' is certified
+    full, so verdicts go only to the scanned ell <= max(L, smallest_full) and
+    the scanned primes of delta'; with no L, to every one.
     """
     if scan_bound < 0:
         raise DomainError(f"scan_bound must be >= 0, got {scan_bound}")
@@ -278,12 +246,12 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     exceptional = set(base)
     verdicts: list[Verdict] = []
     smallest_full: int | None = None
-    facts = _curve_facts(reports)
-    tail = _tail_bound(reports, facts)
+    phi_sets = phi_prime_sets(reports)
+    tail = _tail_bound(reports, phi_sets)
     for ell in primes_below(scan_bound):
         if smallest_full is not None and tail is not None and ell > tail and ell not in dp_primes:
             continue  # certified full by the chain that gives the tail bound
-        v = _image_verdict(reports, facts, ell)
+        v = _image_verdict(reports, phi_sets, ell)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -17,8 +16,8 @@ from shascope.curves import (
 )
 from shascope.errors import DomainError
 from shascope.galoisrules import (
+    MAZUR_ISOGENY_BOUND,
     SMALL_EXCEPTIONAL,
-    _curve_facts,
     _image_verdict,
     _tail_bound,
     borel_excluded,
@@ -26,7 +25,6 @@ from shascope.galoisrules import (
     phi_order_candidates,
     phi_prime_sets,
     semistable_rule,
-    serre_bound,
     small_exceptional,
     tate_witnesses,
     theorem5_report,
@@ -94,21 +92,6 @@ def test_phi_prime_sets_against_factorize():
     assert (5, [3], []) in expected  # ord_5(Delta) = 4: Phi = 3
 
 
-def test_serre_bound_exact():
-    # oracle: integer part of (sqrt(p)+1)^8 via very high precision isqrt scaling
-    for p in (2, 3, 5, 7, 11, 13, 101):
-        scale = 10**40
-        s = isqrt(p * scale * scale)  # floor(sqrt(p) * 10^40)
-        # bracket (sqrt(p)+1)^8 between ((s)/10^40+1)^8 and ((s+1)/10^40+1)^8
-        lo = (s + scale) ** 8 // scale**8
-        hi = (s + 1 + scale) ** 8 // scale**8
-        assert lo == hi  # bracket tight at this precision
-        assert serre_bound(p) == lo
-    assert serre_bound(2) == 1153
-    assert serre_bound(5) == 12026
-    assert serre_bound(7) == 31210
-
-
 def test_semistable_rule():
     reports = bad_primes(ShortModel(1, 1))  # only 31, multiplicative
     assert semistable_rule(reports, 11)
@@ -140,23 +123,40 @@ def test_chain_b_ignores_inertia_at_p_equal_to_ell():
     assert not v.full and v.chain is None
 
 
-def test_chain_c_excludes_ell_dividing_delta_prime():
+def test_chain_e_on_a_twist_with_ell_dividing_delta_prime():
     # y^2 = x^3 + 25x + 875, the twist by 5 of x^3 + x + 7: delta' = 5^6 * 1327.
     # 5 is additive, so chain a fails; the only Phi-order prime is 2 (ord_5 of
     # Delta is 6, Phi = 2), which divides every p0(p0 - 1), so chain b fails;
-    # 1327 is multiplicative and its own Tate witness, and 2 is good with
-    # serre_bound(2) = 1153 < 1327, so only the delta' guard keeps 1327 out
+    # 1327 is multiplicative with ord(j) = -1, a Tate witness at every ell
     reports = bad_primes(ShortModel(25, 875))
     assert [(r.p, r.kind, r.ord_delta) for r in reports] == [(5, "additive", 6), (1327, "multiplicative", 1)]
     assert phi_prime_sets(reports) == [(5, [2], [])]
-    v = image_verdict(reports, 1327)
+    assert MAZUR_ISOGENY_BOUND == 37
+    v = image_verdict(reports, 37)
     assert not v.full and v.chain is None
-    assert v.reasons[-1] == "ell=1327 divides delta'"
-    v = image_verdict(reports, 1361)
-    assert v.full and v.chain == "c"
-    v = image_verdict(reports, 1151)  # below serre_bound(2), prime, coprime to delta'
-    assert not v.full
-    assert v.reasons[-1] == "ell=1151 not above serre_bound for the smallest good prime"
+    assert v.reasons[-1] == "ell=37 not above 37, Mazur's isogeny bound"
+    for ell in (41, 1151, 1327):
+        v = image_verdict(reports, ell)
+        assert v.full and v.chain == "e", ell
+        assert "p0=1327" in v.reasons[-1] and "Mazur 1978" in v.reasons[-1]
+        assert "Serre 1972, Prop. 15" in v.reasons[-2]
+    # at p0 = ell = 1327 chain e still applies, but the report keeps the primes
+    # of delta' as candidates
+    rep = theorem5_report(ShortModel(25, 875))
+    assert rep.exceptional == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 1327)
+    assert rep.smallest_full == 41
+
+
+@pytest.mark.parametrize("j,ell", [(-884736000, 43), (-147197952000, 67), (-262537412640768000, 163)])
+def test_chain_e_needs_a_tate_witness_on_cm_curves(j, ell):
+    # CM by the maximal orders of Q(sqrt(-43)), Q(sqrt(-67)), Q(sqrt(-163)):
+    # j is integral, so there is no Tate witness, and each curve has a
+    # rational ell-isogeny with ell > 37; its mod-ell image is Borel
+    reports = bad_primes(_curve_with_j(Fraction(j)))
+    assert all(r.potential != "potentiallyMultiplicative" for r in reports)
+    v = image_verdict(reports, ell)
+    assert not v.full and v.chain is None
+    assert _tail_bound(reports, phi_prime_sets(reports)) is None
 
 
 def test_theorem5_example2():
@@ -190,8 +190,8 @@ def _tail_test_curves() -> list[ShortModel]:
             out.append(ShortModel(A, B))
     # delta' = 27 p^k (p^k + 4): multiplicative at p with ord_p(j) = -k. No
     # bad prime has a supported Phi-order set (3 is wild, the rest are
-    # multiplicative), so chain b never applies, and 2 is good, so chain c's
-    # tail is serre_bound(2) = 1153, inside the scan
+    # multiplicative), so chain b never applies, and chain e's tail is
+    # max(37, k)
     out += [ShortModel(-3, 2 + p**k) for p in (5, 7, 11, 13) for k in (1, 2, 3, 5, 7)]
     # j = N / 2^e: 2 is the only potentially multiplicative prime, with
     # ord_2(j) = -e, and Phi = 6 at p = N excludes Borel images, so chain b's
@@ -205,23 +205,23 @@ def _scan_every_prime(model: ShortModel, scan_bound: int):
     scan_bound, and the set and smallest_full read from all of them."""
     minimized, fac = delta_prime_factorization(model)
     reports = [reduction_report(minimized, p) for p in fac.primes()]
-    facts = _curve_facts(reports)
-    verdicts = {ell: _image_verdict(reports, facts, ell) for ell in primes_below(scan_bound)}
+    phi_sets = phi_prime_sets(reports)
+    verdicts = {ell: _image_verdict(reports, phi_sets, ell) for ell in primes_below(scan_bound)}
     base = set(SMALL_EXCEPTIONAL) | set(fac.primes())
     exceptional = tuple(sorted(base | {ell for ell, v in verdicts.items() if not v.full}))
     smallest_full = min((ell for ell, v in verdicts.items() if v.full and ell not in base), default=None)
-    return reports, facts, verdicts, exceptional, smallest_full
+    return reports, phi_sets, verdicts, exceptional, smallest_full
 
 
 def test_theorem5_tail_bound_against_a_scan_of_every_prime():
     for model in _tail_test_curves():
-        reports, facts, ref, exceptional, smallest_full = _scan_every_prime(model, 3000)
+        reports, phi_sets, ref, exceptional, smallest_full = _scan_every_prime(model, 3000)
         rep = theorem5_report(model, scan_bound=3000)
         assert (rep.exceptional, rep.smallest_full) == (exceptional, smallest_full), model
         kept = {v.ell: v for v in rep.verdicts}
         assert all(v == ref[ell] for ell, v in kept.items()), model
         assert all(ell in kept for ell, v in ref.items() if not v.full), model
-        tail = _tail_bound(reports, facts)
+        tail = _tail_bound(reports, phi_sets)
         if tail is not None:
             dp = {r.p for r in reports}
             assert all(v.full for ell, v in ref.items() if ell > tail and ell not in dp), model
@@ -231,7 +231,7 @@ def test_theorem5_tail_bound_from_ord_j_in_chain_b():
     model = _curve_with_j(Fraction(13, 2**17))
     reports = bad_primes(model)
     assert [r.p for r in reports if r.potential == "potentiallyMultiplicative"] == [2]
-    assert _tail_bound(reports, _curve_facts(reports)) == 17
+    assert _tail_bound(reports, phi_prime_sets(reports)) == 17
     rep = theorem5_report(model, scan_bound=100)
     assert rep.smallest_full == 11 and 17 in rep.exceptional
     assert [v.ell for v in rep.verdicts] == [2, 3, 5, 7, 11, 13, 17]

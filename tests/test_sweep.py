@@ -28,7 +28,7 @@ SWEEP_PINS = {
     "bad-primes": "44ddcb73f15b4923ed81376bcdf9bb0a787907993fa934e27a6f4019bc003ccd",
     "cor-traces": "752cd8bfb53034c0a378c7e40286454e8547eddaf525402b0823334a244e8982",
     "divpoly": "d674199184844d2c9b329951d432294797c1efb1834b083f448d25738e19ebb1",
-    "exceptional": "b0b0f2665087c864ca6587d0cb7e08740f25b3d92e19d2c02c2b19ba6665e1f1",
+    "exceptional": "50ea6110d16c22800c5b4f49bbd8967476867e6a07f172e7b497f73f8eb3eda1",
     "ffgroup": "f15dc78d998b2db58b23ae19c2643124d762bbc2a092392c02d3b1947ba6e9c5",
     "invariants": "754e74a27fdaa74723251bf3f37ba2911fa017f968719b384c3f95e8ca8980fa",
     "lift": "ca0f5c9378161944a1301fc794e805bb9bc7a5750517e9aaff4f6a4babeff10d",
