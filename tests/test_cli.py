@@ -601,6 +601,17 @@ USAGE_AND_HELP_PINS = [
      EMPTY, "8d59cd87a71d0e94c1c8056f46250c296b7e8d7f049cd9a2f060f34b147d33f3"),
     (("ffgroup", "--effort", "5", "--p", "7", "--curve", "1,1"), 64,
      EMPTY, "63cae3d4b74e963ec1c08fadc5eabd473820018d26056e87ce043907c7e7d58a"),
+    # a stray positional after a command's flags is a top-level usage error
+    (("ffgroup", "--p", "7", "--curve", "1,1", "stray"), 64,
+     EMPTY, "7f38cea817bea4de428d98422fa9146004f6f2707f33117f701defba9b015972"),
+    # an option before the command is left to the command, which lacks it
+    (("--curve", "1,1", "invariants"), 64,
+     EMPTY, "d824357ee40eb3a2ac07327eaf9e9c50e8e0f1517cb032fc67f8db5a97169c87"),
+    (("invariants", "invariants", "--curve", "1,1"), 64,
+     EMPTY, "d107168f3709c5614f3f4c7784adc54e60ff4ed74966350f74756bca17b7a44f"),
+    # help wins over a missing required flag
+    (("lift", "--p", "7", "-h"), 0,
+     "00900598a69d7163d7efdaa483e54dc6e42f9d3fbb0f2e086e52f95ba25c31e1", EMPTY),
 ]
 
 
