@@ -76,12 +76,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top parser and each command's own parser, by command name."""
     top = _Parser(prog="sha-scope", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = {}
 
     def cmd(name, *, curve="required", **flags):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         if curve:
             p.add_argument(
                 "--curve", required=curve == "required", help="'A,B' or 'a1,a2,a3,a4,a6'"
@@ -112,7 +114,7 @@ def _build_parser() -> _Parser:
     )
     cmd("lift", p=dict(type=int, required=True), ell=dict(type=int, required=True))
     cmd("exceptional", effort=effort, scan_bound=dict(type=int, default=10**4))
-    return top
+    return top, commands
 
 
 def _render_symbolic(poly: ExactPoly) -> str:
@@ -261,17 +263,25 @@ def _join_flag_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one sha-scope command; return its exit code.
 
-    The parser is built on the first call and kept for the process, so main
+    The parsers are built on the first call and kept for the process, so main
     may be called repeatedly in one process at the cost of parsing alone.
-    Each call parses into a fresh namespace and writes to the sys.stdout and
-    sys.stderr of that moment.
+    When argv[0] names a command, that command's own parser parses its flags
+    once. Anything else (no command, --help, an unknown command, an option
+    before the command, or a token the command leaves over) goes to the top
+    parser, which writes argparse's help and usage errors. Each call parses
+    into a fresh namespace and writes to the sys.stdout and sys.stderr of
+    that moment.
     """
-    parser = _build_parser()
+    top, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_flag_values(list(argv))
     try:
-        args = parser.parse_args(argv)
+        own = commands.get(argv[0]) if argv else None
+        if own is not None:
+            args, extra = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if own is None or extra:
+            args = top.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

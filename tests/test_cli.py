@@ -647,6 +647,19 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert 0 < made <= len(calls)
 
 
+def test_one_parse_per_command(capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(capsys, "ffgroup", "--p", "7", "--curve", "1,1")[0] == 0
+    assert calls == ["sha-scope ffgroup"]
+
+
 def test_no_state_leaks_between_calls(capsys, monkeypatch):
     # each call in one process gives the bytes of that command run alone
     monkeypatch.setenv("COLUMNS", "80")
