@@ -179,18 +179,16 @@ def enumerate_points(curve: FpCurve) -> list:
 
 
 def point_order(curve: FpCurve, P) -> int:
-    """Order of P via the factored group order."""
+    """Order of P: the product of q^k over q^v ∥ #E, where q^k is the order
+    of (#E / q^v)·P."""
     if P is INFINITY:
         return 1
     if not curve.on_curve(P):
         raise DomainError(f"{P} not on curve")
     N = group_order(curve)
-    if scalar_mul(curve, N, P) is not INFINITY:
-        raise InvariantViolation("point order does not divide group order")
-    n = N
-    for q, e in factorize(N):
-        while n % q == 0 and scalar_mul(curve, n // q, P) is INFINITY:
-            n //= q
+    n = 1
+    for q, v in factorize(N):
+        n *= q ** _exponent(curve, scalar_mul(curve, N // q**v, P), q, v)[0]
     return n
 
 
