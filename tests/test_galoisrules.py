@@ -219,11 +219,13 @@ def test_theorem5_tail_bound_against_a_scan_of_every_prime():
         rep = theorem5_report(model, scan_bound=3000)
         assert (rep.exceptional, rep.smallest_full) == (exceptional, smallest_full), model
         kept = {v.ell: v for v in rep.verdicts}
+        assert list(kept) == sorted(kept), model
         assert all(v == ref[ell] for ell, v in kept.items()), model
         assert all(ell in kept for ell, v in ref.items() if not v.full), model
+        dp = {r.p for r in reports}
+        assert all(ell in kept for ell in ref if ell in dp), model
         tail = _tail_bound(reports, phi_sets)
         if tail is not None:
-            dp = {r.p for r in reports}
             assert all(v.full for ell, v in ref.items() if ell > tail and ell not in dp), model
 
 
