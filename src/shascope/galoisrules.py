@@ -248,16 +248,7 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     smallest_full: int | None = None
     phi_sets = phi_prime_sets(reports)
     tail = _tail_bound(reports, phi_sets)
-    if tail is None:
-        ells = primes_below(scan_bound)
-    else:
-        # past the first prime above L off base only delta' primes get verdicts
-        first = tail + 1
-        while first in base or not is_prime(first):
-            first += 1
-        stop = min(first + 1, scan_bound)
-        ells = primes_below(stop) + sorted(p for p in dp_primes if stop <= p < scan_bound)
-    for ell in ells:
+    for ell in primes_below(scan_bound):
         if smallest_full is not None and tail is not None and ell > tail and ell not in dp_primes:
             continue  # certified full by the chain that gives the tail bound
         v = _image_verdict(reports, phi_sets, ell)
