@@ -80,10 +80,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top parser and each command's own parser, by command name."""
     top = _Parser(prog="sha-scope", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    commands = {}
 
     def cmd(name, *, curve="required", **flags):
-        p = commands[name] = sub.add_parser(name)
+        p = sub.add_parser(name)
         if curve:
             p.add_argument(
                 "--curve", required=curve == "required", help="'A,B' or 'a1,a2,a3,a4,a6'"
@@ -114,7 +113,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     cmd("lift", p=dict(type=int, required=True), ell=dict(type=int, required=True))
     cmd("exceptional", effort=effort, scan_bound=dict(type=int, default=10**4))
-    return top, commands
+    return top, sub.choices
 
 
 def _render_symbolic(poly: ExactPoly) -> str:
