@@ -175,15 +175,21 @@ def test_non_integer_curve_exit_2(capsys):
 
 
 def test_reduce_rejects_p_below_2():
-    # run in a subprocess with a timeout, so that a loop in p_minimize fails the test
-    for p in ("1", "0"):
+    # run in a subprocess with a timeout, so that a loop in p_minimize fails the test;
+    # the (0, 0) model checks p_minimize's stop on A = B = 0
+    cases = [
+        ("1", "1,1", "1 is not prime"),
+        ("0", "1,1", "0 is not prime"),
+        ("5", "0,0", "singular cubic (cusp, c4=0)"),
+    ]
+    for p, curve, message in cases:
         proc = subprocess.run(
-            [sys.executable, "-m", "shascope.cli", "reduce", "--p", p, "--curve", "1,1"],
+            [sys.executable, "-m", "shascope.cli", "reduce", "--p", p, "--curve", curve],
             capture_output=True,
             text=True,
             timeout=30,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"sha-scope: {p} is not prime\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"sha-scope: {message}\n")
 
 
 def test_ffgroup_rejects_a_composite_p(capsys):
@@ -612,6 +618,15 @@ USAGE_AND_HELP_PINS = [
     # help wins over a missing required flag
     (("lift", "--p", "7", "-h"), 0,
      "00900598a69d7163d7efdaa483e54dc6e42f9d3fbb0f2e086e52f95ba25c31e1", EMPTY),
+    # domain errors: one stderr line, exit 2
+    (("divpoly", "--n", "5"), 2,
+     EMPTY, "398436a2eb24febea83da974ef863958d48b25024e92a7707b5ff007a755923e"),
+    (("invariants", "--curve", "1,2,3"), 2,
+     EMPTY, "96ed64ebd3138f687f300937a22aec4e124ea42f5efda193d4ca25ef3d69d964"),
+    (("torsion", "--curve", "0,0"), 2,
+     EMPTY, "5ac728a6e48853f5dfa2ad5ba29e224899a0c7139f19162b84ac4a2d16938022"),
+    (("ffgroup", "--p", "7", "--curve", "0,0"), 2,
+     EMPTY, "5ac728a6e48853f5dfa2ad5ba29e224899a0c7139f19162b84ac4a2d16938022"),
 ]
 
 
