@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -60,6 +62,44 @@ def test_short_delta_prime_relation():
     inv = invariants(EX3_LONG)
     s = to_short(EX3_LONG)
     assert s.delta_prime() == -(2**8) * 3**12 * inv.delta
+
+
+def _oracle_u(A, B):
+    """Largest u with u^4 | A and u^6 | B, from sympy's factorint of gcd(A, B)."""
+    u = 1
+    for p in sympy.factorint(sympy.gcd(A, B)):
+        ea = sympy.multiplicity(p, A) // 4 if A else None
+        eb = sympy.multiplicity(p, B) // 6 if B else None
+        u *= p ** min(e for e in (ea, eb) if e is not None)
+    return u
+
+
+def test_minimize_short_matches_factorint_oracle():
+    rng = random.Random(20261020)
+    zero_a = zero_b = 0
+    for _ in range(600):
+        a = rng.choice([0, rng.randint(-(10**5), 10**5)])
+        b = rng.choice([0, rng.randint(-(10**5), 10**5)])
+        u = 1
+        for q in rng.sample([2, 3, 5, 7, 11, 13, 101], rng.randint(0, 3)):
+            u *= q ** rng.randint(1, 3)
+        model = ShortModel(a * u**4, b * u**6)
+        if model.delta_prime() == 0:
+            with pytest.raises(SingularCubicError):
+                minimize_short(model)
+            continue
+        zero_a += a == 0
+        zero_b += b == 0
+        want_u = _oracle_u(model.A, model.B)
+        got, got_u = minimize_short(model)
+        assert got_u == want_u and want_u % u == 0
+        assert got == ShortModel(model.A // want_u**4, model.B // want_u**6)
+        assert model.delta_prime() == want_u**12 * got.delta_prime()
+        assert _oracle_u(got.A, got.B) == 1
+        for p in sympy.factorint(want_u):
+            e = sympy.multiplicity(p, want_u)
+            assert p_minimize(model, p) == ShortModel(model.A // p ** (4 * e), model.B // p ** (6 * e))
+    assert zero_a > 50 and zero_b > 50
 
 
 def test_p_minimize_fixture():
