@@ -64,12 +64,6 @@ class ReductionReport:
     caveat: str | None = None
 
 
-def _long_of(model: LongModel | ShortModel) -> LongModel:
-    if isinstance(model, ShortModel):
-        return LongModel(0, 0, 0, model.A, model.B)
-    return model
-
-
 def invariants(model: LongModel | ShortModel) -> Invariants:
     """The b/c/Delta/j record; raises SingularCubicError when Delta = 0.
 
@@ -77,7 +71,7 @@ def invariants(model: LongModel | ShortModel) -> Invariants:
     for a ShortModel input it is 4A^3+27B^2 of the model itself, so that
     Delta = -16*delta_prime.
     """
-    m = _long_of(model)
+    m = LongModel(0, 0, 0, model.A, model.B) if isinstance(model, ShortModel) else model
     b2 = m.a1**2 + 4 * m.a2
     b4 = 2 * m.a4 + m.a1 * m.a3
     b6 = m.a3**2 + 4 * m.a6
@@ -109,26 +103,21 @@ def to_short(model: LongModel | ShortModel) -> ShortModel:
 
 
 def minimize_short(model: ShortModel) -> tuple[ShortModel, int]:
-    """Largest u >= 1 with u^4 | A and u^6 | B; returns ((A/u^4, B/u^6), u)."""
+    """Largest u >= 1 with u^4 | A and u^6 | B; returns ((A/u^4, B/u^6), u).
+
+    Each prime of u divides g = gcd(A, B), which is |B| at A = 0 and |A| at B = 0.
+    """
     A, B = model.A, model.B
     if model.delta_prime() == 0:
         raise SingularCubicError(-48 * A)
-    if A == 0:
-        basis = factorize(B)
-    elif B == 0:
-        basis = factorize(A)
-    else:
-        g = gcd(abs(A), abs(B))
-        if g == 1:
-            return model, 1
-        basis = factorize(g)
+    g = gcd(A, B)
+    if g == 1:  # most models: no factorize call
+        return model, 1
     u = 1
-    for p, _ in basis:
-        ea = padic_val(A, p) // 4 if A != 0 else None
-        eb = padic_val(B, p) // 6 if B != 0 else None
-        e = min(x for x in (ea, eb) if x is not None)
-        u *= p**e
-    return ShortModel(A // u**4, B // u**6), u
+    for p, _ in factorize(g):
+        while A % p**4 == 0 and B % p**6 == 0:
+            A, B, u = A // p**4, B // p**6, u * p
+    return ShortModel(A, B), u
 
 
 def p_minimize(model: ShortModel, p: int) -> ShortModel:
@@ -136,16 +125,10 @@ def p_minimize(model: ShortModel, p: int) -> ShortModel:
     if p < 2:
         raise DomainError(f"{p} is not prime")
     A, B = model.A, model.B
-    while (A == 0 or A % p**4 == 0) and (B == 0 or B % p**6 == 0):
-        if A == 0 and B == 0:
-            break
+    while (A or B) and A % p**4 == 0 and B % p**6 == 0:
         A //= p**4
         B //= p**6
     return ShortModel(A, B)
-
-
-def _ord(n: int, p: int) -> int | None:
-    return None if n == 0 else padic_val(n, p)
 
 
 def reduction_report(model: ShortModel, p: int) -> ReductionReport:
@@ -165,7 +148,7 @@ def reduction_report(model: ShortModel, p: int) -> ReductionReport:
     delta = -16 * dp
     c4 = -48 * m.A
     ord_delta = padic_val(delta, p)
-    ord_c4 = _ord(c4, p)
+    ord_c4 = None if c4 == 0 else padic_val(c4, p)
     ord_j = None if c4 == 0 else 3 * ord_c4 - ord_delta
     potential = "potentiallyGood" if (ord_j is None or ord_j >= 0) else "potentiallyMultiplicative"
     caveat = None
