@@ -126,8 +126,6 @@ class Factorization:
 
 def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
     """A nontrivial factor of composite odd n, or None if the budget ran out."""
-    if n % 2 == 0:
-        return 2
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128

@@ -125,8 +125,6 @@ def _render_symbolic(poly: ExactPoly) -> str:
         cs = repr(c)
         if i == 0:
             terms.append(cs)
-        elif cs == "1":
-            terms.append("X" if i == 1 else f"X^{i}")
         else:
             terms.append(f"({cs})*X" if i == 1 else f"({cs})*X^{i}")
     return " + ".join(terms) if terms else "0"
@@ -237,9 +235,6 @@ def _run(args) -> None:
             }
         )
 
-    else:  # pragma: no cover
-        raise DomainError(f"unknown command {args.command}")
-
 
 _VALUE_FLAGS = {"--curve", "--p", "--ell", "--n", "--effort", "--scan-bound", "--max-n"}
 
@@ -285,9 +280,6 @@ def main(argv=None) -> int:
         return exc.code or 0
     try:
         _run(args)
-    except (DomainError,) as exc:
-        sys.stderr.write(f"sha-scope: {exc}\n")
-        return 2
     except BudgetError as exc:
         sys.stderr.write(f"sha-scope: budget exceeded: {exc}\n")
         return 3

@@ -224,8 +224,6 @@ def quotient_g(table: DivisionTable, ell: int, n: int) -> ExactPoly:
         raise DomainError("odd prime ell required")
     if n < 1:
         raise DomainError("n >= 1 required")
-    if n == 1:
-        return table.f(ell)
     return table.f(ell**n).exact_div(table.f(ell ** (n - 1)))
 
 
