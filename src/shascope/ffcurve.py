@@ -211,14 +211,9 @@ def _multiples(curve: FpCurve, R, n: int, start=INFINITY):
         yield start
 
 
-def _line(curve: FpCurve, low, q: int) -> dict:
-    """{j·low: j for 0 <= j < q}, the subgroup of order q through low."""
-    return {T: j for j, T in enumerate(_multiples(curve, low, q))}
-
-
 def _off_line(curve: FpCurve, R, q: int, v: int, R1, k1: int, line: dict) -> tuple:
     """(R2, k2) with R2 = R - c·R1 and <R2> ∩ <R1> = {O}, for R of order at
-    most q^k1 = ord(R1) and line = _line of q^(k1-1)·R1.
+    most q^k1 = ord(R1) and line = {j·low: j for 0 <= j < q}, low = q^(k1-1)·R1.
 
     While R's order-q multiple lies on line, say at j·q^(k1-1)·R1, subtracting
     j·q^(k1-k)·R1 lowers the order q^k of R. So q^k2 is the order of R's image
@@ -251,7 +246,7 @@ def _sylow_basis(curve: FpCurve, q: int) -> tuple:
     if v == 0:
         return (INFINITY, 0), (INFINITY, 0)
     m = N // q**v
-    top = None  # (R1, k1, _line of R1): the element of largest order so far
+    top = None  # (R1, k1, line of R1): the element of largest order so far
     for P in _affine_points(curve):
         R = scalar_mul(curve, m, P)
         k, low = _exponent(curve, R, q, v)
@@ -261,7 +256,8 @@ def _sylow_basis(curve: FpCurve, q: int) -> tuple:
         if k == 0:
             continue
         if top is None or k > top[1]:  # R is the new longest; reduce the old one instead
-            top, R = (R, k, _line(curve, low, q)), (top[0] if top else INFINITY)
+            line = {T: j for j, T in enumerate(_multiples(curve, low, q))}
+            top, R = (R, k, line), (top[0] if top else INFINITY)
         R2, k2 = _off_line(curve, R, q, v, *top)
         if top[1] + k2 > v:
             raise InvariantViolation(f"{q}-Sylow subgroup exceeds {q}^{v} points")
