@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -80,16 +81,35 @@ def test_borel_excluded_needs_q_coprime_to_p0_minus_1():
 
 
 def test_phi_prime_sets_against_factorize():
-    # oracle: the primes dividing every Phi-order candidate, by factorization
-    reports = [ReductionReport(5, "additive", None, "potentiallyGood", v, 0, 0) for v in range(1, 24)]
-    reports += [ReductionReport(2, "additive", None, "potentiallyGood", v, 0, 0) for v in range(1, 31)]
+    # oracle: the primes dividing every candidate order of Phi, by
+    # factorization. p >= 5 has the one order 12/gcd(v, 12); at p = 2 the
+    # order lies in {2, 3, 4, 6, 8, 24}, and in {3, 6, 24} when 3 does not
+    # divide v = ord_2(Delta), calibrated at v = 8. p = 3 (wild inertia) and
+    # potentially multiplicative primes have no set
+    def candidates(p, v):
+        if p >= 5:
+            return {12 // gcd(v, 12)}
+        return {3, 6, 24} if v % 3 else {2, 3, 4, 6, 8, 24}
+
+    reports = [
+        ReductionReport(p, "additive", None, "potentiallyGood", v, 0, 0)
+        for p in (2, 3, 5, 7, 23) for v in range(1, 31)
+    ]
+    reports.append(ReductionReport(11, "multiplicative", "split", "potentiallyMultiplicative", 3, 0, -3))
     expected = []
     for r in reports:
-        cands, notes = phi_order_candidates(r)
-        common = set.intersection(*(set(factorize(c).primes()) for c in cands))
+        if r.p == 3 or r.potential != "potentiallyGood":
+            continue
+        v = r.ord_delta
+        common = set.intersection(*(set(factorize(c).primes()) for c in candidates(r.p, v)))
+        notes = []
+        if r.p == 2 and v % 3 and v != 8:
+            notes = [f"p=2 narrowing calibrated at ord_2(Delta)=8, extrapolated to {v}"]
         expected.append((r.p, sorted(common), notes))
     assert phi_prime_sets(reports) == expected
     assert (5, [3], []) in expected  # ord_5(Delta) = 4: Phi = 3
+    assert (23, [2, 3], []) in phi_prime_sets(_reports(EX3_LONG))  # 12/gcd(10, 12) = 6
+    assert (2, [3], []) in phi_prime_sets(_reports(EX2_LONG))  # ord_2(Delta) = 8: {3, 6, 24}
 
 
 def test_semistable_rule():
@@ -237,3 +257,4 @@ def test_theorem5_tail_bound_from_ord_j_in_chain_b():
     rep = theorem5_report(model, scan_bound=100)
     assert rep.smallest_full == 11 and 17 in rep.exceptional
     assert [v.ell for v in rep.verdicts] == [2, 3, 5, 7, 11, 13, 17]
+
