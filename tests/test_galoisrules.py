@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -258,3 +259,22 @@ def test_theorem5_tail_bound_from_ord_j_in_chain_b():
     assert rep.smallest_full == 11 and 17 in rep.exceptional
     assert [v.ell for v in rep.verdicts] == [2, 3, 5, 7, 11, 13, 17]
 
+
+def test_theorem5_audit_trail_pin():
+    # one sha256 over (A, B, ell, full, chain, reasons) of every verdict on 300
+    # seeded curves: the byte sweep pins only the exceptional set, not the
+    # reasons an audit trail prints
+    rng = random.Random(29)
+    curves = []
+    while len(curves) < 300:
+        A, B = rng.randint(-300, 300), rng.randint(-300, 300)
+        if 4 * A**3 + 27 * B**2:
+            curves.append(ShortModel(A, B))
+    digest = hashlib.sha256()
+    verdicts = [(m, v) for m in curves for v in theorem5_report(m, scan_bound=1000).verdicts]
+    for m, v in verdicts:
+        digest.update(repr((m.A, m.B, v.ell, v.full, v.chain, v.reasons)).encode() + b"\n")
+    assert len(verdicts) == 3034
+    assert sum(any(r.startswith("p=2 narrowing") for r in v.reasons) for _, v in verdicts) == 132
+    assert {v.chain for _, v in verdicts} == {"a", "b", "e", None}
+    assert digest.hexdigest() == "d7b11577996ecc734535d6f38fe88afc5a615cc0d7f42593f413817a3d1e3ed2"
