@@ -21,76 +21,45 @@ from .curves import LongModel, ReductionReport, ShortModel, delta_prime_factoriz
 from .errors import DomainError
 
 
-def small_exceptional(ell: int) -> bool:
-    """ell with (ell - 1) | 12; the mod-ell cyclotomic character is too small
-    there for the determinant argument, so these are always kept as candidates."""
-    if not is_prime(ell):
-        raise DomainError("ell must be prime")
-    return 12 % (ell - 1) == 0
-
-
-SMALL_EXCEPTIONAL = tuple(filter(small_exceptional, primes_below(14)))  # (ell-1) | 12 forces ell <= 13
+# ell with (ell - 1) | 12, which forces ell <= 13: the mod-ell cyclotomic
+# character is too small there for the determinant argument, so these are
+# always kept as candidates
+SMALL_EXCEPTIONAL = tuple(ell for ell in primes_below(14) if 12 % (ell - 1) == 0)
 MAZUR_ISOGENY_BOUND = 37  # the largest degree of a rational isogeny of prime degree on a non-CM curve over Q
 
 
 def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:
     """Potentially multiplicative primes p0 with ell not dividing ord_{p0}(j);
     at each such p0 the local image contains an element of order ell, which
-    rules out image subgroups of order prime to ell."""
-    out = []
-    for r in reports:
-        if r.potential != "potentiallyMultiplicative":
-            continue
-        oj = r.ord_j
-        if oj is not None and oj % ell != 0:
-            out.append(r.p)
-    return out
-
-
-def phi_order_candidates(report: ReductionReport) -> tuple[set[int], list[str]]:
-    """Candidate orders of the local inertia quotient Phi at a potentially good
-    prime, from the valuation of the discriminant of the minimized model.
-
-    p >= 5: the order is exactly 12 / gcd(ord_p(Delta), 12).
-    p == 2: order lies in {2, 3, 4, 6, 8, 24}; when ord_2(Delta) is not
-        divisible by 3 the orders divisible only by 2 are excluded, leaving
-        {3, 6, 24}. Calibrated at ord_2(Delta) == 8; other valuations carry an
-        extrapolation note.
-    p == 3: unsupported (wild inertia).
-    """
-    if report.potential != "potentiallyGood":
-        raise DomainError(f"p={report.p} is not potentially good")
-    p, v = report.p, report.ord_delta
-    notes: list[str] = []
-    if p >= 5:
-        return {12 // gcd(v, 12)}, notes
-    if p == 2:
-        cands = {2, 3, 4, 6, 8, 24}
-        if v % 3 != 0:
-            cands = {3, 6, 24}
-            if v != 8:
-                notes.append(
-                    f"p=2 narrowing calibrated at ord_2(Delta)=8, extrapolated to {v}"
-                )
-        return cands, notes
-    raise DomainError("p=3 inertia orders are not supported (wild ramification)")
+    rules out image subgroups of order prime to ell. Potentially
+    multiplicative means ord_{p0}(j) < 0, so ord_j is never None here."""
+    return [r.p for r in reports if r.potential == "potentiallyMultiplicative" and r.ord_j % ell != 0]
 
 
 def phi_prime_sets(reports: list[ReductionReport]) -> list[tuple[int, list[int], list[str]]]:
-    """Per potentially good prime p with supported Phi-order candidates, in
-    report order: p, the primes dividing every candidate (ascending) and the
-    notes."""
+    """Per potentially good prime p other than 3, in report order: p, the
+    primes dividing every candidate order of the local inertia quotient Phi
+    (ascending) and the notes.
+
+    The candidates come from v = ord_p(Delta) of the minimized model. At
+    p >= 5 the order is exactly 12/gcd(v, 12), so its primes are the q in
+    {2, 3} that divide it. At p = 2 the order lies in {2, 3, 4, 6, 8, 24},
+    which share no prime; when 3 does not divide v the orders divisible only
+    by 2 are excluded, and {3, 6, 24} share 3. That narrowing is calibrated
+    at v = 8; other v carry an extrapolation note. p = 3 is skipped: its
+    inertia is wild.
+    """
     out = []
     for r in reports:
-        if r.potential != "potentiallyGood":
+        p, v = r.p, r.ord_delta
+        if r.potential != "potentiallyGood" or p == 3:
             continue
-        try:
-            cands, notes = phi_order_candidates(r)
-        except DomainError:
-            continue
-        # every candidate divides 24 ({12/gcd(v,12)} at p >= 5, a subset of
-        # {2,3,4,6,8,24} at p = 2), so 2 and 3 are the only primes to test
-        out.append((r.p, [q for q in (2, 3) if all(c % q == 0 for c in cands)], notes))
+        if p >= 5:
+            out.append((p, [q for q in (2, 3) if 12 // gcd(v, 12) % q == 0], []))
+        elif v % 3 == 0:
+            out.append((p, [], []))
+        else:
+            out.append((p, [3], [] if v == 8 else [f"p=2 narrowing calibrated at ord_2(Delta)=8, extrapolated to {v}"]))
     return out
 
 
@@ -116,8 +85,6 @@ def borel_excluded(
 
 def semistable_rule(reports: list[ReductionReport], ell: int) -> bool:
     """Full image for ell >= 11 when every bad prime is multiplicative."""
-    if not reports:
-        return False
     return ell >= 11 and all(r.kind == "multiplicative" for r in reports)
 
 
@@ -129,7 +96,9 @@ class Verdict:
     reasons: tuple[str, ...]
 
 
-def image_verdict(reports: list[ReductionReport], ell: int) -> Verdict:
+def image_verdict(
+    reports: list[ReductionReport], phi_sets: list[tuple[int, list[int], list[str]]], ell: int
+) -> Verdict:
     """Attempt to certify that the mod-ell image is all of GL_2(F_ell).
 
     Chains, tried in order:
@@ -145,15 +114,11 @@ def image_verdict(reports: list[ReductionReport], ell: int) -> Verdict:
          1972, Prop. 15, the image contains SL_2(F_ell) or is Borel. j is not
          integral at p0, so E has no CM and, by Mazur 1978, no rational
          ell-isogeny; det is surjective over Q.
+
+    phi_sets is phi_prime_sets(reports).
     """
     if not is_prime(ell):
         raise DomainError("ell must be prime")
-    return _image_verdict(reports, phi_prime_sets(reports), ell)
-
-
-def _image_verdict(
-    reports: list[ReductionReport], phi_sets: list[tuple[int, list[int], list[str]]], ell: int
-) -> Verdict:
     if semistable_rule(reports, ell):
         return Verdict(ell, True, "a", ("all bad primes multiplicative and ell >= 11",))
 
@@ -197,7 +162,7 @@ def _tail_bound(reports: list[ReductionReport], phi_sets: list[tuple[int, list[i
     images are excluded, and chain e for ell > max(37, |ord_{p0}(j)|) at every
     potentially multiplicative p0. Only a curve with integral j has no L.
     """
-    bounds = [10] if reports and all(r.kind == "multiplicative" for r in reports) else []
+    bounds = [10] if semistable_rule(reports, 11) else []
     for r in reports:
         if r.potential == "potentiallyMultiplicative":
             oj = abs(r.ord_j)
@@ -251,7 +216,7 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     for ell in primes_below(scan_bound):
         if smallest_full is not None and tail is not None and ell > tail and ell not in dp_primes:
             continue  # certified full by the chain that gives the tail bound
-        v = _image_verdict(reports, phi_sets, ell)
+        v = image_verdict(reports, phi_sets, ell)
         verdicts.append(v)
         if not v.full:
             exceptional.add(ell)

@@ -8,12 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "shascope").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 # Public names with no reference in src/ or bench/, kept on purpose.
-ALLOWED = {
-    # The per-ell verdict: the tests call it, `exceptional --explain`
-    # (ROADMAP item 1) is to print it, and bench/run.py names it in two
-    # per-layer metrics.
-    "galoisrules.image_verdict",
-}
+ALLOWED = set()
 
 
 def _exported(tree):

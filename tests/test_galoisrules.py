@@ -20,14 +20,11 @@ from shascope.errors import DomainError
 from shascope.galoisrules import (
     MAZUR_ISOGENY_BOUND,
     SMALL_EXCEPTIONAL,
-    _image_verdict,
     _tail_bound,
     borel_excluded,
     image_verdict,
-    phi_order_candidates,
     phi_prime_sets,
     semistable_rule,
-    small_exceptional,
     tate_witnesses,
     theorem5_report,
 )
@@ -42,26 +39,13 @@ def _reports(long_model):
 
 
 def test_small_exceptional_set():
-    assert [ell for ell in (2, 3, 5, 7, 11, 13, 17, 19) if small_exceptional(ell)] == [2, 3, 5, 7, 13]
-    with pytest.raises(DomainError):
-        small_exceptional(4)
+    assert SMALL_EXCEPTIONAL == (2, 3, 5, 7, 13)
 
 
 def test_tate_order_rule_example3():
     reports = _reports(EX3_LONG)
     assert tate_witnesses(reports, 5) == [2]  # ord_2(j) = -7, coprime to 5
     assert tate_witnesses(reports, 7) == []  # 7 | 7
-
-
-def test_phi_order_candidates():
-    reports = {r.p: r for r in _reports(EX3_LONG)}
-    cands, notes = phi_order_candidates(reports[23])
-    assert cands == {6} and notes == []  # 12/gcd(10,12)
-    reports2 = {r.p: r for r in _reports(EX2_LONG)}
-    cands2, notes2 = phi_order_candidates(reports2[2])
-    assert cands2 == {3, 6, 24} and notes2 == []  # ord_2(Delta) = 8
-    with pytest.raises(DomainError):
-        phi_order_candidates(reports[2])  # potentially multiplicative
 
 
 def test_borel_excluded_example3():
@@ -118,14 +102,19 @@ def test_semistable_rule():
     assert semistable_rule(reports, 11)
     assert not semistable_rule(reports, 7)
     assert not semistable_rule(_reports(EX3_LONG), 11)  # 23 is additive
+    # vacuously true on no reports, which no curve has (delta' = +-1 has no solution)
+    assert semistable_rule([], 11) and not semistable_rule([], 7)
 
 
 def test_image_verdict_example3():
     reports = _reports(EX3_LONG)
-    full = {ell: image_verdict(reports, ell).full for ell in (2, 3, 5, 7, 11, 13, 23, 41)}
+    phi_sets = phi_prime_sets(reports)
+    full = {ell: image_verdict(reports, phi_sets, ell).full for ell in (2, 3, 5, 7, 11, 13, 23, 41)}
     assert [ell for ell, ok in full.items() if not ok] == [2, 3, 7, 23]
-    v = image_verdict(reports, 5)
+    v = image_verdict(reports, phi_sets, 5)
     assert v.chain == "b"
+    with pytest.raises(DomainError):
+        image_verdict(reports, phi_sets, 4)
 
 
 def test_chain_b_ignores_inertia_at_p_equal_to_ell():
@@ -140,7 +129,7 @@ def test_chain_b_ignores_inertia_at_p_equal_to_ell():
     # the only Phi-order prime q = 3 coprime to p0(p0 - 1) = 2 comes from
     # p = 17 (ord_17(Delta) = 4, Phi = 3), which says nothing about E[17]
     assert {r.p: r.ord_delta for r in reports}[17] == 4
-    v = image_verdict(reports, 17)
+    v = image_verdict(reports, phi_prime_sets(reports), 17)
     assert not v.full and v.chain is None
 
 
@@ -153,11 +142,11 @@ def test_chain_e_on_a_twist_with_ell_dividing_delta_prime():
     assert [(r.p, r.kind, r.ord_delta) for r in reports] == [(5, "additive", 6), (1327, "multiplicative", 1)]
     assert phi_prime_sets(reports) == [(5, [2], [])]
     assert MAZUR_ISOGENY_BOUND == 37
-    v = image_verdict(reports, 37)
+    v = image_verdict(reports, phi_prime_sets(reports), 37)
     assert not v.full and v.chain is None
     assert v.reasons[-1] == "ell=37 not above 37, Mazur's isogeny bound"
     for ell in (41, 1151, 1327):
-        v = image_verdict(reports, ell)
+        v = image_verdict(reports, phi_prime_sets(reports), ell)
         assert v.full and v.chain == "e", ell
         assert "p0=1327" in v.reasons[-1] and "Mazur 1978" in v.reasons[-1]
         assert "Serre 1972, Prop. 15" in v.reasons[-2]
@@ -175,7 +164,7 @@ def test_chain_e_needs_a_tate_witness_on_cm_curves(j, ell):
     # rational ell-isogeny with ell > 37; its mod-ell image is Borel
     reports = bad_primes(_curve_with_j(Fraction(j)))
     assert all(r.potential != "potentiallyMultiplicative" for r in reports)
-    v = image_verdict(reports, ell)
+    v = image_verdict(reports, phi_prime_sets(reports), ell)
     assert not v.full and v.chain is None
     assert _tail_bound(reports, phi_prime_sets(reports)) is None
 
@@ -227,7 +216,7 @@ def _scan_every_prime(model: ShortModel, scan_bound: int):
     minimized, fac = delta_prime_factorization(model)
     reports = [reduction_report(minimized, p) for p in fac.primes()]
     phi_sets = phi_prime_sets(reports)
-    verdicts = {ell: _image_verdict(reports, phi_sets, ell) for ell in primes_below(scan_bound)}
+    verdicts = {ell: image_verdict(reports, phi_sets, ell) for ell in primes_below(scan_bound)}
     base = set(SMALL_EXCEPTIONAL) | set(fac.primes())
     exceptional = tuple(sorted(base | {ell for ell, v in verdicts.items() if not v.full}))
     smallest_full = min((ell for ell, v in verdicts.items() if v.full and ell not in base), default=None)
