@@ -107,11 +107,9 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     n = padic_val(N, ell)
     m = N // ell**n
 
-    # Bezout pair with a in [1, ell)
+    # Bezout pair with a in [1, ell): ell divides 1 - m*a, so b is exact
     a = pow(m % ell, -1, ell)
     b = (1 - m * a) // ell
-    if m * a + ell * b != 1:
-        raise InvariantViolation(f"Bezout identity fails for m={m}, ell={ell}")
 
     if n == 0:
         return LiftPlan(p, ell, 0, m, None, None, None, None, None, (a, b), None)
