@@ -140,13 +140,14 @@ def test_chain_e_on_a_twist_with_ell_dividing_delta_prime():
     # 1327 is multiplicative with ord(j) = -1, a Tate witness at every ell
     reports = bad_primes(ShortModel(25, 875))
     assert [(r.p, r.kind, r.ord_delta) for r in reports] == [(5, "additive", 6), (1327, "multiplicative", 1)]
-    assert phi_prime_sets(reports) == [(5, [2], [])]
+    phi_sets = phi_prime_sets(reports)
+    assert phi_sets == [(5, [2], [])]
     assert MAZUR_ISOGENY_BOUND == 37
-    v = image_verdict(reports, phi_prime_sets(reports), 37)
+    v = image_verdict(reports, phi_sets, 37)
     assert not v.full and v.chain is None
     assert v.reasons[-1] == "ell=37 not above 37, Mazur's isogeny bound"
     for ell in (41, 1151, 1327):
-        v = image_verdict(reports, phi_prime_sets(reports), ell)
+        v = image_verdict(reports, phi_sets, ell)
         assert v.full and v.chain == "e", ell
         assert "p0=1327" in v.reasons[-1] and "Mazur 1978" in v.reasons[-1]
         assert "Serre 1972, Prop. 15" in v.reasons[-2]
@@ -164,9 +165,10 @@ def test_chain_e_needs_a_tate_witness_on_cm_curves(j, ell):
     # rational ell-isogeny with ell > 37; its mod-ell image is Borel
     reports = bad_primes(_curve_with_j(Fraction(j)))
     assert all(r.potential != "potentiallyMultiplicative" for r in reports)
-    v = image_verdict(reports, phi_prime_sets(reports), ell)
+    phi_sets = phi_prime_sets(reports)
+    v = image_verdict(reports, phi_sets, ell)
     assert not v.full and v.chain is None
-    assert _tail_bound(reports, phi_prime_sets(reports)) is None
+    assert _tail_bound(reports, phi_sets) is None
 
 
 def test_theorem5_example2():
