@@ -93,7 +93,14 @@ def test_phi_prime_sets_against_factorize():
         expected.append((r.p, sorted(common), notes))
     assert phi_prime_sets(reports) == expected
     assert (5, [3], []) in expected  # ord_5(Delta) = 4: Phi = 3
-    assert (23, [2, 3], []) in phi_prime_sets(_reports(EX3_LONG))  # 12/gcd(10, 12) = 6
+
+
+def test_phi_order_candidates():
+    # the Phi-order primes of Examples 3 and 2; Example 3's p = 2 is
+    # potentially multiplicative and has no set
+    ex3 = phi_prime_sets(_reports(EX3_LONG))
+    assert (23, [2, 3], []) in ex3  # 12/gcd(10, 12) = 6
+    assert 2 not in [p for p, _, _ in ex3]
     assert (2, [3], []) in phi_prime_sets(_reports(EX2_LONG))  # ord_2(Delta) = 8: {3, 6, 24}
 
 
