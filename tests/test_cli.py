@@ -193,8 +193,9 @@ def test_reduce_rejects_p_below_2():
 
 
 def test_ffgroup_rejects_a_composite_p(capsys):
-    for p in ("8", "15", "9", "25"):
-        got = run_cli(capsys, "ffgroup", "--p", p, "--curve", "1,1")
+    # at 1,1 (delta' = 31) the squares table refuses p; at 0,1 and 0,5 p divides delta'
+    for p, curve in (("8", "1,1"), ("15", "1,1"), ("9", "1,1"), ("25", "1,1"), ("9", "0,1"), ("25", "0,5")):
+        got = run_cli(capsys, "ffgroup", "--p", p, "--curve", curve)
         assert got == (2, "", f"sha-scope: {p} is not prime\n")
 
 

@@ -5,7 +5,7 @@ import pytest
 from shascope import cli, ffcurve
 from shascope.arith import factorize, is_prime, padic_val
 from shascope.curves import ShortModel
-from shascope.errors import BadReductionError, BudgetError, DomainError
+from shascope.errors import BadReductionError, BudgetError, DomainError, SingularCubicError
 from shascope.ffcurve import (
     INFINITY,
     FpCurve,
@@ -152,8 +152,17 @@ def test_ell_primary_example4():
 
 
 def test_bad_reduction_raises():
-    with pytest.raises(BadReductionError):
-        reduce_curve(ShortModel(1, 1), 31)
+    cases = [
+        (ShortModel(1, 1), 31, BadReductionError, "bad reduction at 31"),
+        (ShortModel(0, 1), 9, DomainError, "9 is not prime"),
+        (ShortModel(-3, 2), 7, SingularCubicError, "singular cubic (node, c4=144)"),
+        (ShortModel(0, 0), 7, SingularCubicError, "singular cubic (cusp, c4=0)"),
+        (ShortModel(0, 0), 9, DomainError, "9 is not prime"),  # primality is tested before singularity
+    ]
+    for model, p, error, message in cases:
+        with pytest.raises(DomainError) as info:
+            reduce_curve(model, p)
+        assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_small_p_rejected():
