@@ -48,8 +48,6 @@ _TRIAL_BOUND = 10**6
 _BLOCK = 4096  # block 0 holds every prime up to isqrt(_TRIAL_BOUND)
 _TRIAL_BLOCKS: list[tuple[array, int]] = []  # block k: (primes in [k*_BLOCK, (k+1)*_BLOCK), their product)
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
 # Pollard p-1 stage 1: 2**_PM1_EXPONENT == 1 mod p for every odd prime p with p - 1 | lcm(1..1000)
 _PM1_EXPONENT = lcm(*range(1, 1001))
 
@@ -74,15 +72,15 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality of n > 1.
 
-    Deterministic below ~3.3e24: after trial division by the primes up to 47,
-    n runs Miller-Rabin on the first k prime bases, k the least with
-    n < _MR_PSP[k - 1] (one base below 2047, all 13 from 3.2e23 on). Above
-    3.3e24 a True is a probable prime (error probability
+    Deterministic below ~3.3e24: after trial division by the 13 bases (the
+    primes up to 41), n runs Miller-Rabin on the first k bases, k the least
+    with n < _MR_PSP[k - 1] (one base below 2047, all 13 from 3.2e23 on).
+    Above 3.3e24 a True is a probable prime (error probability
     < 4**-_MR_EXTRA_ROUNDS), with no certificate yet (ROADMAP item 5).
     """
     if n <= 1:
         raise DomainError(f"is_prime requires n > 1, got {n}")
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -159,12 +157,12 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:
 def factorize(n: int, *, effort: int = 50) -> Factorization:
     """Full factorization of n != 0.
 
-    Trial division removes the primes below 4096. A cofactor m that is
-    neither a prime nor a square then gets one Pollard p-1 power at
-    effort > 0: g = gcd(2**lcm(1..1000) - 1, m) takes in every prime p of m
-    with p - 1 | lcm(1..1000), and 1 < g < m splits m. Otherwise (g = 1, or
+    Trial division removes the primes below 4096. At effort > 0 a cofactor
+    m that is neither a prime nor a square then gets one Pollard p-1 power:
+    g = gcd(2**lcm(1..1000) - 1, m) takes in every prime p of m with
+    p - 1 | lcm(1..1000), and 1 < g < m splits m. Otherwise (g = 1, or
     g = m) m goes to Brent rho: up to 8 tries of effort * 100_000
-    iterations each. So at effort 0 nothing searches beyond trial division.
+    iterations each. At effort 0 neither runs: rho counts as given up.
     Only a cofactor that rho gave up on is swept for the primes in
     [4096, 10**6), and never one that a sweep left or that was split off
     such a cofactor: its primes are all above 10**6. A BudgetError names a
@@ -201,16 +199,15 @@ def factorize(n: int, *, effort: int = 50) -> Factorization:
         if r * r == m:
             stack.extend([(r, swept), (r, swept)])
             continue
-        f = gcd(pow(2, _PM1_EXPONENT, m) - 1, m) if effort else 1
-        if not 1 < f < m:
-            f = None
-            if rng is None:
-                rng = random.Random(0xE11)
-            for _ in range(8):
-                f = _brent_rho(m, rng, max_iters)
-                if f is not None and 1 < f < m:
-                    break
-                f = None
+        f = None
+        if effort:
+            f = gcd(pow(2, _PM1_EXPONENT, m) - 1, m)
+            if not 1 < f < m:
+                if rng is None:
+                    rng = random.Random(0xE11)
+                for _ in range(8):
+                    if (f := _brent_rho(m, rng, max_iters)) is not None:
+                        break
         if f is not None:
             stack.extend([(f, swept), (m // f, swept)])
             continue

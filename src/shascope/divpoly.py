@@ -227,23 +227,16 @@ def quotient_g(table: DivisionTable, ell: int, n: int) -> ExactPoly:
     return table.f(ell**n).exact_div(table.f(ell ** (n - 1)))
 
 
-def eq46_parts(table: DivisionTable):
-    """(f, phi, g, psi, delta') with f*phi - g*psi = delta' = 4A^3 + 27B^2."""
-    r = table.ring
-    A, B = table.A, table.B
+def verify_eq46(table: DivisionTable) -> bool:
+    """f*phi - g*psi == 4A^3 + 27B^2 identically in the table's ring, with
+    f = 3X^2 + 4A, phi = X^4 - 2AX^2 - 8BX + A^2, g = 3X^3 - 5AX - 27B and
+    psi = X^3 + AX + B."""
+    r, A, B = table.ring, table.A, table.B
     c = r.from_int
     f = ExactPoly.make(r, [4 * A, c(0), c(3)])
     phi = ExactPoly.make(r, [A * A, -8 * B, -2 * A, c(0), c(1)])
     g = ExactPoly.make(r, [-27 * B, -5 * A, c(0), c(3)])
-    delta = 4 * A * A * A + 27 * B * B
-    return f, phi, g, table.psi, delta
-
-
-def verify_eq46(table: DivisionTable) -> bool:
-    """f*phi - g*psi == 4A^3 + 27B^2 identically in the table's ring."""
-    f, phi, g, psi, delta = eq46_parts(table)
-    lhs = f * phi - g * psi
-    return lhs == ExactPoly.const(table.ring, delta)
+    return f * phi - g * table.psi == ExactPoly.const(r, 4 * A * A * A + 27 * B * B)
 
 
 def torsion_test(table: DivisionTable, x, y, n: int) -> bool:
@@ -253,15 +246,5 @@ def torsion_test(table: DivisionTable, x, y, n: int) -> bool:
     """
     if n < 1:
         raise DomainError("n >= 1 required")
-    r = table.ring
-    if isinstance(x, int):
-        x = r.from_int(x)
-    if isinstance(y, int):
-        y = r.from_int(y)
-    fnx = table.f(n).evaluate(x)
-    if y:
-        return not fnx
-    # y = 0: (Psi'_n)^2 = f_n(x)^2 * psi(x) for even n, psi(x) = y^2 = 0
-    if n % 2 == 0:
-        return True
-    return not fnx
+    # y = 0 and n even: (Psi'_n)^2 = f_n(x)^2 * psi(x) with psi(x) = y^2 = 0
+    return not table.f(n).evaluate(x) or (n % 2 == 0 and not table.ring.from_int(y))

@@ -25,22 +25,15 @@ class InvariantViolation(ShaScopeError):
 
 
 class SingularCubicError(DomainError):
-    """Raised when a Weierstrass model is singular (discriminant zero).
+    """A Weierstrass model is singular (discriminant zero). The message is
+    "singular cubic (node, c4=...)" when c4 != 0, else "singular cubic (cusp, c4=0)"."""
 
-    Carries c4 so callers can distinguish a node (c4 != 0) from a cusp (c4 == 0).
-    """
-
-    def __init__(self, c4, message=None):
-        self.c4 = c4
-        self.kind = "node" if c4 != 0 else "cusp"
-        super().__init__(message or f"singular cubic ({self.kind}, c4={c4})")
+    def __init__(self, c4):
+        super().__init__(f"singular cubic ({'node' if c4 else 'cusp'}, c4={c4})")
 
 
 class BadReductionError(DomainError):
-    """Reduction mod p is singular; carries the reduction report when available."""
+    """Reduction mod the prime p is singular; the message is "bad reduction at p"."""
 
-    def __init__(self, p, report=None, message=None):
-        self.p = p
-        self.report = report
-        super().__init__(message or f"bad reduction at {p}")
-
+    def __init__(self, p):
+        super().__init__(f"bad reduction at {p}")

@@ -16,8 +16,8 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from .arith import factorize, is_prime, padic_val, sqrt_mod
-from .curves import ShortModel, p_minimize, reduction_report
-from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation
+from .curves import ShortModel, p_minimize
+from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation, SingularCubicError
 
 ORDER_CEILING = 10**6  # largest p whose O(p) squares table is built
 
@@ -105,12 +105,17 @@ class FpCurve:
 
 
 def reduce_curve(model: ShortModel, p: int) -> FpCurve:
-    """p-minimize then reduce mod p; BadReductionError when singular."""
+    """p-minimize then reduce mod p >= 5. If p divides delta', raise DomainError
+    for a composite p, else SingularCubicError at delta' = 0, else BadReductionError."""
     if p < 5:
         raise DomainError("reduce_curve requires p >= 5")
     m = p_minimize(model, p)
     if m.delta_prime() % p == 0:
-        raise BadReductionError(p, report=reduction_report(model, p))
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        if m.delta_prime() == 0:
+            raise SingularCubicError(-48 * m.A)
+        raise BadReductionError(p)
     return FpCurve(p, m.A % p, m.B % p)
 
 

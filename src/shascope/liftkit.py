@@ -47,13 +47,6 @@ class LiftPlan:
     hensel: HenselCertificate | None
 
 
-def _check_precondition(model: ShortModel, p: int, ell: int) -> None:
-    dp = model.delta_prime()
-    for name, value in (("delta'", dp), ("ell", ell), ("ell-1", ell - 1), ("ell+1", ell + 1)):
-        if value % p == 0:
-            raise DomainError(f"p={p} divides {name}")
-
-
 def _hensel_certificate(cubic: ExactPoly, p: int, target_x: int) -> HenselCertificate:
     """Strong-Hensel certificate for a p-adic root of the cubic (over ZZ)
     congruent to target_x mod p, found by digit-by-digit refinement."""
@@ -101,7 +94,9 @@ def lift_plan(model: ShortModel, p: int, ell: int) -> LiftPlan:
     check_order_ceiling(p)
     if not is_prime(p) or not is_prime(ell):
         raise DomainError("p and ell must be prime")
-    _check_precondition(model, p, ell)
+    for name, value in (("delta'", model.delta_prime()), ("ell", ell), ("ell-1", ell - 1), ("ell+1", ell + 1)):
+        if value % p == 0:
+            raise DomainError(f"p={p} divides {name}")
     curve = reduce_curve(model, p)  # raises on bad reduction
     N = group_order(curve)  # kept on `curve`, so ell_primary below does not recount
     n = padic_val(N, ell)

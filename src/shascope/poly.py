@@ -341,9 +341,6 @@ class ExactPoly:
         # a square arrives as a is b, which both kernels test
         return ExactPoly.make(r, _mul_rows(a, b, r.from_int(0)) if r is ZAB else _kmul(a, b))
 
-    def scale(self, k) -> "ExactPoly":
-        return ExactPoly.make(self.ring, [c * k for c in self.coeffs])
-
     def exact_div_scalar(self, k) -> "ExactPoly":
         r = self.ring
         return ExactPoly.make(r, [r.exact_div(c, k) for c in self.coeffs])

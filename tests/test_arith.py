@@ -156,6 +156,13 @@ def test_factorize_pm1_stage_before_rho(monkeypatch):
         rho_calls.clear()
         _assert_factorization(n, factorize(n, effort=50))
         assert rho_calls and rho_calls[0] == n
+    # effort 0 runs neither stage: the product is split by the sweep, and the
+    # cofactor the sweep leaves is reported unfactored without a rho call
+    rho_calls.clear()
+    _assert_factorization(999983 * 1000003, factorize(999983 * 1000003, effort=0))
+    with pytest.raises(BudgetError, match="unfactored cofactor 1000036000099$"):
+        factorize(999983 * 1000003 * 1000033, effort=0)
+    assert rho_calls == []
 
 
 def test_factorize_sign_and_unit():
