@@ -1,18 +1,16 @@
-"""Zero-trace checks for torsion x-coordinates, the normalized alpha
-root-sums at levels n = 1, 2 and the level-2 closed form, as exact traces in
-the integer cubic ring Z[Y]/(psi).
+"""Zero-trace checks for torsion x-coordinates, and the normalized alpha
+root-sums at levels n = 1, 2 with the level-2 closed form.
 
-Both alpha sums read f_k at the roots of psi from one ReducedTable mod
-psi^2 and take degrees from expected_degree, so no whole f_k is built: not
-g = f_{ell^n} / f_{ell^(n-1)} (degree 300 at (ell, n) = (5, 2)), whose
-root-sum comes from a residue identity, sum 1/psi(r) = -Tr(g'/(psi' g)),
-nor f_ell for step 8. psi is monic and every operand is integral, so an
-element is an int triple and Tr(x/y) comes from the 3x3 multiplication
-matrix of y (the regular representation; Cohen, A Course in Computational
-Algebraic Number Theory, ch. 4). The checks that stay: f_{ell^k} has
-nonzero norm mod psi, and S = 0, which alpha_trace_direct proves for every
-curve, ell and n. The level-2 closed form sums over the roots of g_ell by
-the same logarithmic derivative, as one trace in the same ring.
+Both alpha values are sums over the roots e of psi whose every term carries
+f_k'(e) for an odd k, and f_k'(e) = 0 for odd k (proof in
+alpha_trace_step8). So both are 0 on every curve, and what runs is the exact
+check of that lemma: from one ReducedTable mod psi^2, f_k' mod psi is zero
+and f_k mod psi has nonzero norm in the cubic ring Z[Y]/(psi), so no
+denominator vanishes at a root of psi. The norm is the determinant of the
+multiplication matrix (the regular representation; Cohen, A Course in
+Computational Algebraic Number Theory, ch. 4). No whole f_k is built, not
+g = f_{ell^n} / f_{ell^(n-1)} (degree 300 at (ell, n) = (5, 2)) nor f_ell
+for step 8, and degrees come from expected_degree.
 """
 
 from __future__ import annotations
@@ -39,11 +37,7 @@ from .poly import ZZ, ExactPoly
 
 
 class QuotRing:
-    """Z[Y]/(Y^3 + aY + b); elements are int triples (z0, z1, z2) = z0 + z1 Y + z2 Y^2.
-
-    The trace sums over the three roots of the modulus, with multiplicity:
-    Tr 1 = 3, Tr Y = 0 and Tr Y^2 = -2a are its power sums.
-    """
+    """Z[Y]/(Y^3 + aY + b); elements are int triples (z0, z1, z2) = z0 + z1 Y + z2 Y^2."""
 
     def __init__(self, a: int, b: int):
         self.a, self.b = a, b
@@ -54,40 +48,20 @@ class QuotRing:
         c = elem.mod(self.modulus).coeffs
         return (*c, 0, 0, 0)[:3]
 
-    def mul(self, x: tuple, y: tuple) -> tuple[int, int, int]:
-        """x * y, with Y^3 = -aY - b and Y^4 = -aY^2 - bY."""
-        a, b = self.a, self.b
-        x0, x1, x2 = x
-        y0, y1, y2 = y
-        c3, c4 = x1 * y2 + x2 * y1, x2 * y2
-        return (
-            x0 * y0 - b * c3,
-            x0 * y1 + x1 * y0 - a * c3 - b * c4,
-            x0 * y2 + x1 * y1 + x2 * y0 - a * c4,
-        )
-
-    def trace_quotient(self, x: tuple, y: tuple) -> Fraction:
-        """Tr(x / y) = Tr(x v) / N(y), exact.
-
-        N(y) is the determinant of y's multiplication matrix m (columns y,
-        yY, yY^2) and v = N(y) / y is the first column of its adjugate, so
-        m v = N(y) e_0. A zero norm means y shares a root with the modulus:
-        InvariantViolation.
+    def norm(self, y: tuple) -> int:
+        """N(y), the product of y over the three roots of the modulus, with
+        multiplicity: the determinant of y's multiplication matrix m (columns
+        y, yY, yY^2), expanded along row 0. It is 0 iff y shares a root with
+        the modulus.
         """
         a, b = self.a, self.b
         y0, y1, y2 = y
         # rows 1 and 2 of m; row 0 is (y0, -b y2, -b y1)
         m10, m11, m12 = y1, y0 - a * y2, -b * y2 - a * y1
         m20, m21, m22 = y2, y1, y0 - a * y2
-        v = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
-        norm = y0 * v[0] - b * (y2 * v[1] + y1 * v[2])
-        if norm == 0:
-            raise InvariantViolation(
-                f"y = {y} has norm 0 in Z[Y]/(Y^3 + aY + b), (a, b) = {(a, b)}: "
-                "y shares a root with the modulus"
-            )
-        z0, _, z2 = self.mul(x, v)
-        return Fraction(3 * z0 - 2 * a * z2, norm)
+        return y0 * (m11 * m22 - m12 * m21) - b * (
+            y2 * (m12 * m20 - m10 * m22) + y1 * (m10 * m21 - m11 * m20)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +122,7 @@ class AlphaTraceResult:
     degree: int  # deg g_{ell^n}
 
 
-def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> int:
+def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> None:
     if ell <= 3:
         raise DomainError("ell > 3 required")
     if n not in (1, 2):
@@ -157,47 +131,50 @@ def _check_alpha_pre(model: ShortModel, ell: int, n: int) -> int:
         raise BudgetError(f"ell^n = {ell**n} exceeds ceiling {ALPHA_N_CEILING}")
     if not is_prime(ell):
         raise DomainError(f"ell={ell} is not prime")
-    dp = model.delta_prime()
-    if dp % ell == 0:
+    if model.delta_prime() % ell == 0:
         raise DomainError(f"ell={ell} divides delta'")
-    return dp
 
 
-def _inverse_root_sum(model: ShortModel, ell: int, n: int, ring: QuotRing) -> Fraction:
-    """Sum of 1/h(r) over the roots r of g = f_{ell^n} / f_{ell^(n-1)}, by
-    residues, with h = ring.modulus.
+def _check_vanishing(model: ShortModel, *ks: int) -> None:
+    """For each odd k: f_k' = 0 mod psi, and f_k mod psi has nonzero norm.
 
-    For h coprime to g, the residues of g'/(g h) sum to zero, so the sum is
-    -Tr_{Z[Y]/(h)}(g'(Y) / (h'(Y) g(Y))), with
-    g'/g = f'_{ell^n}/f_{ell^n} - f'_{ell^(n-1)}/f_{ell^(n-1)}. The values
-    f_k(e), f'_k(e) at the roots e of h are those of R_k = f_k mod h^2 and
-    R'_k, since f_k - R_k vanishes to order 2 there. With F = R_{ell^n} and
-    f = R_{ell^(n-1)}, g'/g = (F' f - f' F) / (F f), so one quotient, by
-    F f h', serves.
+    Both are read from one ReducedTable mod psi^2. f_k - R_k, with
+    R_k = f_k mod psi^2, vanishes to order 2 at each root e of psi, so
+    f_k'(e) = R_k'(e) and f_k(e) = R_k(e). A nonzero norm means f_k(e) != 0
+    at every e. Either failure raises InvariantViolation naming k.
     """
-    h = ring.modulus
-    table = ReducedTable(ZZ, model.A, model.B, h * h)
-    F, f = table.f(ell**n), table.f(ell ** (n - 1))
-    numer = F.derivative() * f - f.derivative() * F
-    F, f, numer, h_d = (ring.reduce(p) for p in (F, f, numer, h.derivative()))
-    return -ring.trace_quotient(numer, ring.mul(ring.mul(F, f), h_d))
+    K = QuotRing(model.A, model.B)
+    psi = K.modulus
+    table = ReducedTable(ZZ, model.A, model.B, psi * psi)
+    for k in ks:
+        f = table.f(k)
+        if not f.derivative().mod(psi).is_zero():
+            raise InvariantViolation(f"f_{k}' is not 0 mod psi")
+        if K.norm(K.reduce(f)) == 0:
+            raise InvariantViolation(f"f_{k} has norm 0 mod psi: it shares a root with psi")
 
 
 def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     """S = ell^3 * delta' * sum(1/psi(r)) / deg g_{ell^n} over the roots r of g_{ell^n}.
 
-    The sum comes from the residue identity of `_inverse_root_sum` in the
-    cubic ring Z[Y]/(psi), with each f_{ell^k} reduced mod psi^2 along the
-    division recursion, so g_{ell^n} itself is never built. Over Q, E[N] is
-    étale, so f_N is squarefree whenever delta' != 0 and g needs no
-    squarefree certificate; the residue identity counts a multiple root with
-    its multiplicity, as power sums do. The checks that remain: the
-    preconditions (ell does not divide delta', so delta' != 0 and psi is
-    squarefree), a nonzero norm of f_{ell^k} f_{ell^(k-1)} psi' in the cubic
-    ring (a 2-torsion x-coordinate is no ell-power torsion x-coordinate, and
-    psi' shares no root with a squarefree psi), and S = 0, which holds for
-    every curve, ell and n. Proof, for odd N, with
-    T_i = (e_i, 0) the 2-torsion points:
+    S = 0 on every curve, ell and n; the value returned is that 0, once
+    _check_vanishing has passed for k = ell^n and ell^(n-1). The check
+    suffices by the residue identity: for psi coprime to
+    g = f_{ell^n} / f_{ell^(n-1)}, the residues of g'/(g psi) sum to zero, so
+
+        sum 1/psi(r) = -Tr_{Z[Y]/(psi)}(g'(Y) / (psi'(Y) g(Y))),
+
+    with g'/g = (F' f - f' F) / (F f), F = f_{ell^n} and f = f_{ell^(n-1)}.
+    Both k are odd, so F' and f', and with them the numerator, vanish at
+    every root of psi; the nonzero norms of F and f (a 2-torsion
+    x-coordinate is no ell-power torsion x-coordinate) and of psi' (psi is
+    squarefree, since ell does not divide delta', so delta' != 0) keep the
+    denominator nonzero there. Over Q, E[N] is étale, so f_N is squarefree
+    whenever delta' != 0 and g needs no squarefree certificate; the residue
+    identity counts a multiple root with its multiplicity, as power sums do.
+
+    An independent proof that S = 0, for odd N, with T_i = (e_i, 0) the
+    2-torsion points:
     1. The chord through P and T_i gives x(P+T_i) - e_i = psi'(e_i)/(x(P) - e_i).
     2. N is odd, so {Q : [N]Q = T_i} = T_i + E[N], and its x-coordinates,
        with multiplicity, are the roots of Phi_N(X, e_i).
@@ -215,13 +192,10 @@ def alpha_trace_direct(model: ShortModel, ell: int, n: int) -> AlphaTraceResult:
     Galois-conjugate (full-image hypothesis, checked elsewhere); the root-sum
     itself is defined unconditionally.
     """
-    dp = _check_alpha_pre(model, ell, n)
-    total = _inverse_root_sum(model, ell, n, QuotRing(model.A, model.B))
+    _check_alpha_pre(model, ell, n)
+    _check_vanishing(model, ell**n, ell ** (n - 1))
     degree = ReducedTable.expected_degree(ell**n) - ReducedTable.expected_degree(ell ** (n - 1))
-    S = Fraction(ell**3 * dp) * total / degree
-    if S != 0:
-        raise InvariantViolation(f"alpha root-sum S = {S} is not 0")
-    return AlphaTraceResult(ell, n, S, degree)
+    return AlphaTraceResult(ell, n, Fraction(0), degree)
 
 
 def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
@@ -242,15 +216,14 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
 
         Tr_K([t (Y f' - d f) - h0 f'] / (psi' f^3)),
 
-    counting the roots of f with multiplicity (f is squarefree anyway; see
-    alpha_trace_direct). A zero norm of psi' f^3 (InvariantViolation) would
-    mean f_ell shares a root with psi. f_ell, f_ell' and f_{ell+-1} at e are
-    read from the ReducedTable mod psi^2, as in _inverse_root_sum, and
-    d = expected_degree(ell).
+    whose numerator is f'(f_{ell-1} f_{ell+1} psi' - (2d + 1) f^2), and the
+    prediction is ell^3 delta' / (ell^2 d) times it (deg g_{ell^2} = ell^2 d).
+    Every term carries f_ell'(e), so _check_vanishing for k = ell (f_ell'
+    = 0 mod psi, and f_ell with nonzero norm keeps psi' f^3 nonzero at each
+    e) proves the value 0, which is returned.
 
-    The value is 0 on every curve: f_n'(e) = 0 at every root e of psi for odd
-    n. With sigma the Weierstrass sigma function and omega a period with
-    x(omega/2) = e:
+    f_n'(e) = 0 at every root e of psi for odd n. With sigma the Weierstrass
+    sigma function and omega a period with x(omega/2) = e:
     1. psi_n(z) = sigma(nz) / sigma(z)^(n^2).
     2. By quasi-periodicity, log psi_n(omega/2 + u) = L(nu) - n^2 L(u)
        + (terms linear in u) + const, with L(u) = log sigma(omega/2 + u);
@@ -258,18 +231,7 @@ def alpha_trace_step8(model: ShortModel, ell: int) -> Fraction:
     3. For odd n, psi_n(omega/2 + u) = f_n(x(omega/2 + u)) is even in u, and
        x - e = c u^2 + O(u^4) with c != 0, so that u^2 coefficient is
        c f_n'(e) / f_n(e). It is 0, so f_n'(e) = 0.
-    The numerator above is f'(f_{ell-1} f_{ell+1} psi' - (2d + 1) f^2), the
-    form computed below, so every term carries f_ell'(e).
     """
-    dp = _check_alpha_pre(model, ell, 1)
-    K = QuotRing(model.A, model.B)
-    table = ReducedTable(ZZ, model.A, model.B, K.modulus * K.modulus)
-    f, d = table.f(ell), table.expected_degree(ell)
-    f, fd, f_m, f_p, psi_d = (
-        K.reduce(p) for p in (f, f.derivative(), table.f(ell - 1), table.f(ell + 1), K.modulus.derivative())
-    )
-    mul = K.mul
-    f2 = mul(f, f)
-    inner = tuple(x - (2 * d + 1) * y for x, y in zip(mul(mul(f_m, f_p), psi_d), f2))
-    total = K.trace_quotient(mul(fd, inner), mul(mul(psi_d, f2), f))
-    return Fraction(ell**3 * dp) * total / (ell * ell * d)  # deg g_{ell^2} = ell^2 d
+    _check_alpha_pre(model, ell, 1)
+    _check_vanishing(model, ell)
+    return Fraction(0)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -13,7 +12,6 @@ from shascope.divpoly import DivisionTable, ReducedTable, quotient_g, symbolic_t
 from shascope.errors import DomainError, InvariantViolation
 from shascope.numfield import (
     QuotRing,
-    _inverse_root_sum,
     alpha_trace_direct,
     alpha_trace_step8,
     cor6_check,
@@ -25,19 +23,14 @@ CURVE_A = ShortModel(1, 1)  # delta' = 31
 CURVE_B = ShortModel(-2, 3)  # delta' = 211
 
 
-def _companion_trace(a, b, x, y):
-    """Tr(x(C) y(C)^-1) by sympy, with C the companion matrix of Y^3 + aY + b."""
+def _companion_norm(a, b, y):
+    """det y(C) by sympy, with C the companion matrix of Y^3 + aY + b."""
     C = sympy.Matrix([[0, 0, -b], [1, 0, -a], [0, 1, 0]])
-
-    def at(t):
-        return t[0] * sympy.eye(3) + t[1] * C + t[2] * C * C
-
-    want = (at(x) * at(y).inv()).trace()
-    return Fraction(int(want.p), int(want.q))
+    return int((y[0] * sympy.eye(3) + y[1] * C + y[2] * C * C).det())
 
 
-def test_trace_quotient_matches_companion_matrix_oracle():
-    # x / y in Z[Y]/(Y^3 + aY + b) against matrices over Q, on random
+def test_norm_matches_companion_matrix_oracle():
+    # N(y) in Z[Y]/(Y^3 + aY + b) against the determinant over Z, on random
     # elements with 100-bit coefficients
     rng = random.Random(21)
 
@@ -46,18 +39,17 @@ def test_trace_quotient_matches_companion_matrix_oracle():
 
     for _ in range(200):
         a, b = big(), big()
-        x, y = (tuple(big() for _ in range(3)) for _ in range(2))
-        assert QuotRing(a, b).trace_quotient(x, y) == _companion_trace(a, b, x, y), (a, b, x, y)
+        y = tuple(big() for _ in range(3))
+        assert QuotRing(a, b).norm(y) == _companion_norm(a, b, y), (a, b, y)
 
 
-def test_trace_quotient_small_cases_and_zero_norm():
+def test_norm_small_cases_and_zero_norm():
     K = QuotRing(-1, 0)  # Y^3 - Y = Y (Y - 1) (Y + 1)
     assert K.reduce(ExactPoly.from_ints(ZZ, [0, 0, 0, 0, 1])) == (0, 0, 1)  # Y^4 = Y^2
-    assert K.trace_quotient((0, 0, 1), (1, 0, 0)) == 2  # Tr Y^2 = -2a
-    assert K.trace_quotient((7, 0, 0), (2, 0, 0)) == Fraction(21, 2)
+    assert K.norm((2, 0, 0)) == 8
+    assert K.norm((2, 1, 0)) == 2 * 3 * 1  # Y + 2 at the roots 0, 1, -1
     # y = Y shares the root 0 with Y^3 - Y
-    with pytest.raises(InvariantViolation, match="norm 0"):
-        K.trace_quotient((1, 0, 0), (0, 1, 0))
+    assert K.norm((0, 1, 0)) == 0
 
 
 def test_cor6_zero_trace():
@@ -98,52 +90,9 @@ def test_alpha_trace_direct_is_zero_on_random_curves(A, B, ell, n):
     assert alpha_trace_direct(ShortModel(A, B), ell, n).S == 0
 
 
-def _power_sums(g, upto):
-    """Newton power sums p_0..p_upto of the roots of g (int coefficients, constant first)."""
-    c = [Fraction(v, g[-1]) for v in g]
-    d = len(c) - 1
-    p = [Fraction(d)]
-    for k in range(1, upto + 1):
-        s = sum((c[d - i] * p[k - i] for i in range(1, min(k - 1, d) + 1)), Fraction(0))
-        if k <= d:
-            s += k * c[d - k]
-        p.append(-s)
-    return p
-
-
-def test_inverse_root_sum_matches_degree_n_oracle():
-    # the residue route against sum(1/h(r)) = Tr(1/h) in Q[X]/(g_{ell^n}),
-    # with the inverse by sympy over QQ and the trace by Newton power sums;
-    # nonzero values, unlike S, which is 0 on every curve. h runs over
-    # psi + 1 and a fixed cubic
-    X = sympy.Symbol("X")
-    for model in (CURVE_A, CURVE_B):
-        table = DivisionTable(ZZ, model.A, model.B)
-        for ell, n in ((5, 1), (7, 1), (5, 2)):
-            g = quotient_g(table, ell, n)
-            g_qq = sympy.Poly(g.coeffs[::-1], X, domain="QQ")
-            ps = _power_sums(g.coeffs, g.degree() - 1)
-            for a, b in ((model.A, model.B + 1), (-1, 3)):
-                inv = sympy.invert(sympy.Poly([1, 0, a, b], X, domain="QQ"), g_qq)
-                want = sum(
-                    (Fraction(int(c.p), int(c.q)) * ps[i] for i, c in enumerate(inv.all_coeffs()[::-1])),
-                    Fraction(0),
-                )
-                assert want != 0
-                assert _inverse_root_sum(model, ell, n, QuotRing(a, b)) == want, (model, ell, n, a, b)
-
-
-def test_alpha_trace_bound_check_rejects_a_large_q_part(monkeypatch):
-    # S is 0 on every curve, so the check is exact: any nonzero S raises,
-    # here S = 5^3 * 31 / (11 * 12) from a substituted root sum
-    monkeypatch.setattr(numfield, "_inverse_root_sum", lambda *args: Fraction(1, 11))
-    with pytest.raises(InvariantViolation, match="S = 3875/132 is not 0"):
-        alpha_trace_direct(CURVE_A, 5, 1)
-
-
 def test_alpha_trace_direct_at_7_2_matches_step8():
-    # f_49 (degree 1200) is above the table's degree ceiling; the residue
-    # route never builds it
+    # f_49 (degree 1200) is above the table's degree ceiling; the table
+    # mod psi^2 never builds it
     for model in (CURVE_A, CURVE_B):
         res = alpha_trace_direct(model, 7, 2)
         assert res.degree == 1176
@@ -194,36 +143,12 @@ class _PerturbedTable:
         return getattr(self._table, name)
 
 
-def _step8_oracle(model, ell, delta):
-    """ell^3 delta' / (ell^2 d) * sum over psi(e) = 0, g(lam) = 0 of
-    -(h0(e) - lam t(e)) / ((e - lam) f(e)^2 psi'(e)), with f = f_ell + delta,
-    by mpmath roots at 60 digits."""
-    table = DivisionTable(ZZ, model.A, model.B)
-    f = table.f(ell) + delta
-    fm, fp = table.f(ell - 1), table.f(ell + 1)
-
-    def ev(p, x):
-        return mp.polyval([mp.mpf(c) for c in reversed(p.coeffs)], x)
-
-    with mp.workdps(60):
-        es = mp.polyroots([1, 0, model.A, model.B], maxsteps=200, extraprec=200)
-        lams = mp.polyroots([mp.mpf(c) for c in reversed(f.coeffs)], maxsteps=400, extraprec=800)
-        total = mp.mpc(0)
-        for e in es:
-            fe, fde = ev(f, e), ev(f.derivative(), e)
-            h0 = fe**2 + 2 * e * fe * fde - ev(fm, e) * ev(fp, e) * (3 * e**2 + model.A)
-            t = 2 * fe * fde
-            for lam in lams:
-                total -= (h0 - lam * t) / ((e - lam) * fe**2 * (3 * e**2 + model.A))
-        d = f.degree()
-        return mp.mpf(ell**3 * model.delta_prime()) / (ell**2 * d) * total
-
-
 @pytest.mark.parametrize("delta", [(1, 1), (0, 0, 3)], ids=["1+X", "3X^2"])
-def test_alpha_trace_step8_nonzero_on_a_perturbed_f_ell(monkeypatch, delta):
-    # step 8 is 0 on every curve, because f_ell'(e) = 0 at each root e of psi
+def test_alpha_trace_rejects_a_perturbed_f_ell(monkeypatch, delta):
+    # both alpha values are 0 because f_ell'(e) = 0 at each root e of psi
     # (see test_f_n_derivative_vanishes_mod_psi_for_odd_n); with f_ell + delta
-    # in place of f_ell its value is nonzero and must match the root-by-root sum
+    # in place of f_ell, f_ell' mod psi is delta' != 0 and the closed forms
+    # are no longer 0, so each call must refuse rather than return 0
     dpoly = ExactPoly.from_ints(ZZ, list(delta))
     for ell in (5, 7):
         monkeypatch.setattr(
@@ -232,12 +157,25 @@ def test_alpha_trace_step8_nonzero_on_a_perturbed_f_ell(monkeypatch, delta):
             lambda ring, A, B, M: _PerturbedTable(ReducedTable(ring, A, B, M), ell, dpoly),
         )
         for model in (CURVE_A, CURVE_B):
-            got = alpha_trace_step8(model, ell)
-            want = _step8_oracle(model, ell, dpoly)
-            assert got != 0
-            with mp.workdps(60):
-                assert abs(want.imag) < mp.mpf(10) ** -40 * abs(want)
-                assert abs(mp.mpf(got.numerator) / got.denominator - want.real) < mp.mpf(10) ** -30 * abs(want)
+            with pytest.raises(InvariantViolation, match=f"^f_{ell}' is not 0 mod psi$"):
+                alpha_trace_step8(model, ell)
+            with pytest.raises(InvariantViolation, match=f"^f_{ell}' is not 0 mod psi$"):
+                alpha_trace_direct(model, ell, 1)
+
+
+def test_alpha_trace_rejects_an_f_ell_vanishing_at_the_roots_of_psi(monkeypatch):
+    # f_ell replaced by 0 mod psi^2: f_ell' = 0 mod psi holds, but the norm
+    # of f_ell mod psi is 0, so the closed forms would divide by 0
+    def zero_f_ell(ring, A, B, M):
+        table = ReducedTable(ring, A, B, M)
+        return _PerturbedTable(table, 5, -table.f(5))
+
+    monkeypatch.setattr(numfield, "ReducedTable", zero_f_ell)
+    for model in (CURVE_A, CURVE_B):
+        with pytest.raises(InvariantViolation, match="^f_5 has norm 0 mod psi"):
+            alpha_trace_step8(model, 5)
+        with pytest.raises(InvariantViolation, match="^f_5 has norm 0 mod psi"):
+            alpha_trace_direct(model, 5, 1)
 
 
 def test_f_n_derivative_vanishes_mod_psi_for_odd_n():
