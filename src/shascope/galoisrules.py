@@ -194,7 +194,9 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     Above the tail bound L (see _tail_bound; at most max(37, |ord_{p0}(j)|)
     by chain e when j is not integral) every prime off delta' is certified
     full, so verdicts go only to the scanned ell <= max(L, smallest_full) and
-    the scanned primes of delta'; with no L, to every one.
+    the scanned primes of delta'; with no L, to every one. With an L the sieve
+    stops at the first prime above L off the base set, where smallest_full is
+    set at the latest, so its cost does not grow with scan_bound.
     """
     if scan_bound < 0:
         raise DomainError(f"scan_bound must be >= 0, got {scan_bound}")
@@ -213,7 +215,16 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     smallest_full: int | None = None
     phi_sets = phi_prime_sets(reports)
     tail = _tail_bound(reports, phi_sets)
-    for ell in primes_below(scan_bound):
+    if tail is None:
+        ells = primes_below(scan_bound)
+    else:
+        # past the first prime above L off base only delta' primes get verdicts
+        first = tail + 1
+        while first in base or not is_prime(first):
+            first += 1
+        stop = min(first + 1, scan_bound)
+        ells = primes_below(stop) + sorted(p for p in dp_primes if stop <= p < scan_bound)
+    for ell in ells:
         if smallest_full is not None and tail is not None and ell > tail and ell not in dp_primes:
             continue  # certified full by the chain that gives the tail bound
         v = image_verdict(reports, phi_sets, ell)

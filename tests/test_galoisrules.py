@@ -1,5 +1,8 @@
 import hashlib
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -256,6 +259,31 @@ def test_theorem5_tail_bound_from_ord_j_in_chain_b():
     rep = theorem5_report(model, scan_bound=100)
     assert rep.smallest_full == 11 and 17 in rep.exceptional
     assert [v.ell for v in rep.verdicts] == [2, 3, 5, 7, 11, 13, 17]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_theorem5_scan_bound_far_past_the_tail_bound():
+    # with a tail bound L, the sieve stops at the first prime above L off the
+    # base set, so the report at scan_bound 10^9 equals the one at 10^4; the
+    # child runs under a 1 GB address-space cap, so a sieve of every prime
+    # below 10^9 fails fast with MemoryError instead of taking gigabytes
+    code = (
+        "from shascope.curves import ShortModel\n"
+        "from shascope.galoisrules import theorem5_report\n"
+        "for model in (ShortModel(25, 875), ShortModel(-5316979, -4724275762)):\n"
+        "    assert theorem5_report(model, scan_bound=10**9) == theorem5_report(model, scan_bound=10**4), model\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_theorem5_audit_trail_pin():
