@@ -143,24 +143,69 @@ class _PerturbedTable:
         return getattr(self._table, name)
 
 
+def _step8_oracle(model, ell, delta):
+    """ell^3 delta' / (ell^2 d) * sum over psi(e) = 0, g(lam) = 0 of
+    -(h0(e) - lam t(e)) / ((e - lam) f(e)^2 psi'(e)), with f = f_ell + delta,
+    by mpmath roots at 60 digits."""
+    table = DivisionTable(ZZ, model.A, model.B)
+    f = table.f(ell) + delta
+    fm, fp = table.f(ell - 1), table.f(ell + 1)
+
+    def ev(p, x):
+        return mp.polyval([mp.mpf(c) for c in reversed(p.coeffs)], x)
+
+    with mp.workdps(60):
+        es = mp.polyroots([1, 0, model.A, model.B], maxsteps=200, extraprec=200)
+        lams = mp.polyroots([mp.mpf(c) for c in reversed(f.coeffs)], maxsteps=400, extraprec=800)
+        total = mp.mpc(0)
+        for e in es:
+            fe, fde = ev(f, e), ev(f.derivative(), e)
+            h0 = fe**2 + 2 * e * fe * fde - ev(fm, e) * ev(fp, e) * (3 * e**2 + model.A)
+            t = 2 * fe * fde
+            for lam in lams:
+                total -= (h0 - lam * t) / ((e - lam) * fe**2 * (3 * e**2 + model.A))
+        d = f.degree()
+        return mp.mpf(ell**3 * model.delta_prime()) / (ell**2 * d) * total
+
+
+def _perturb(monkeypatch, k, dpoly):
+    """Make numfield's ReducedTable return R_k + dpoly for f(k)."""
+    monkeypatch.setattr(
+        numfield,
+        "ReducedTable",
+        lambda ring, A, B, M: _PerturbedTable(ReducedTable(ring, A, B, M), k, dpoly),
+    )
+
+
 @pytest.mark.parametrize("delta", [(1, 1), (0, 0, 3)], ids=["1+X", "3X^2"])
-def test_alpha_trace_rejects_a_perturbed_f_ell(monkeypatch, delta):
-    # both alpha values are 0 because f_ell'(e) = 0 at each root e of psi
+def test_alpha_trace_step8_nonzero_on_a_perturbed_f_ell(monkeypatch, delta):
+    # step 8 is 0 on every curve, because f_ell'(e) = 0 at each root e of psi
     # (see test_f_n_derivative_vanishes_mod_psi_for_odd_n); with f_ell + delta
-    # in place of f_ell, f_ell' mod psi is delta' != 0 and the closed forms
-    # are no longer 0, so each call must refuse rather than return 0
+    # in place of f_ell, f_ell' mod psi is delta' != 0 and the root-by-root
+    # sum is nonzero, so step 8 must refuse rather than return 0
     dpoly = ExactPoly.from_ints(ZZ, list(delta))
     for ell in (5, 7):
-        monkeypatch.setattr(
-            numfield,
-            "ReducedTable",
-            lambda ring, A, B, M: _PerturbedTable(ReducedTable(ring, A, B, M), ell, dpoly),
-        )
+        _perturb(monkeypatch, ell, dpoly)
         for model in (CURVE_A, CURVE_B):
+            want = _step8_oracle(model, ell, dpoly)
+            with mp.workdps(60):
+                assert abs(want.imag) < mp.mpf(10) ** -40 * abs(want)
+                assert abs(want.real) > mp.mpf(10) ** -10
             with pytest.raises(InvariantViolation, match=f"^f_{ell}' is not 0 mod psi$"):
                 alpha_trace_step8(model, ell)
-            with pytest.raises(InvariantViolation, match=f"^f_{ell}' is not 0 mod psi$"):
-                alpha_trace_direct(model, ell, 1)
+
+
+def test_alpha_trace_bound_check_rejects_a_large_q_part(monkeypatch):
+    # alpha_trace_direct returns its 0 only once f_k' = 0 mod psi holds for
+    # both k = ell^n and ell^(n-1); a perturbed f_q, q = ell^n, makes it
+    # refuse, at n = 1 and at n = 2 where f_25 is the larger prime-power part
+    dpoly = ExactPoly.from_ints(ZZ, [1, 1])
+    for ell, n in ((5, 1), (7, 1), (5, 2)):
+        q = ell**n
+        _perturb(monkeypatch, q, dpoly)
+        for model in (CURVE_A, CURVE_B):
+            with pytest.raises(InvariantViolation, match=f"^f_{q}' is not 0 mod psi$"):
+                alpha_trace_direct(model, ell, n)
 
 
 def test_alpha_trace_rejects_an_f_ell_vanishing_at_the_roots_of_psi(monkeypatch):
