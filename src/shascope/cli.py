@@ -62,12 +62,6 @@ def _parse_curve(text: str):
     raise DomainError("--curve takes 'A,B' or 'a1,a2,a3,a4,a6'")
 
 
-def _short(model) -> curves.ShortModel:
-    if isinstance(model, curves.LongModel):
-        return curves.to_short(model)
-    return model
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -76,20 +70,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top parser and each command's own parser, by command name."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser], frozenset[str]]:
+    """The top parser, each command's own parser by command name, and the
+    options that take a value."""
     top = _Parser(prog="sha-scope", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    takes_value: set[str] = set()
 
     def cmd(name, *, curve="required", **flags):
         p = sub.add_parser(name)
         if curve:
-            p.add_argument(
-                "--curve", required=curve == "required", help="'A,B' or 'a1,a2,a3,a4,a6'"
-            )
+            flags = {"curve": dict(required=curve == "required", help="'A,B' or 'a1,a2,a3,a4,a6'"), **flags}
         for flag, kw in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
-        return p
+            action = p.add_argument("--" + flag.replace("_", "-"), **kw)
+            if action.nargs != 0:  # a store_true flag takes none
+                takes_value.update(action.option_strings)
 
     effort = dict(type=int, default=50, help="factoring budget")
     cmd("invariants")
@@ -113,7 +108,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     cmd("lift", p=dict(type=int, required=True), ell=dict(type=int, required=True))
     cmd("exceptional", effort=effort, scan_bound=dict(type=int, default=10**4))
-    return top, sub.choices
+    return top, sub.choices, frozenset(takes_value)
 
 
 def _render_symbolic(poly: ExactPoly) -> str:
@@ -130,39 +125,9 @@ def _render_symbolic(poly: ExactPoly) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _run(args) -> None:
-    if args.command == "invariants":
-        model = _parse_curve(args.curve)
-        _emit(curves.invariants(model))
-
-    elif args.command == "reduce":
-        model = _short(_parse_curve(args.curve))
-        _emit(curves.reduction_report(model, args.p))
-
-    elif args.command == "bad-primes":
-        model = _short(_parse_curve(args.curve))
-        minimized, fac = curves.delta_prime_factorization(model, effort=args.effort)
-        reports = [curves.reduction_report(minimized, p) for p in fac.primes()]
-        _emit(
-            {
-                "minimized": [minimized.A, minimized.B],
-                "delta_prime_factors": {str(p): e for p, e in fac.factors},
-                "reports": reports,
-            }
-        )
-
-    elif args.command == "divpoly":
-        if args.symbolic:
-            table = divpoly.symbolic_table()
-            _emit({"n": args.n, "f": _render_symbolic(table.f(args.n))})
-        else:
-            if args.curve is None:
-                raise DomainError("--curve required without --symbolic")
-            model = _short(_parse_curve(args.curve))
-            table = divpoly.DivisionTable(ZZ, model.A, model.B)
-            _emit({"n": args.n, "coeffs": table.f(args.n)})
-
-    elif args.command == "verify-identities":
+def _run(args):
+    """The JSON document of one parsed command."""
+    if args.command == "verify-identities":
         if args.max_n < 0:
             raise DomainError(f"--max-n must be >= 0, got {args.max_n}")
         if args.max_n > MAX_N_CEILING:
@@ -171,10 +136,33 @@ def _run(args) -> None:
         lemma5 = all(divpoly.check_lemma5(table, n) for n in range(1, args.max_n + 1))
         eq46 = divpoly.verify_eq46(table)
         cor7 = all(numfield.cor7_check(None, ell) for ell in (3, 5))
-        _emit({"eq46": eq46, "lemma5_max_n": args.max_n, "lemma5": lemma5, "cor7": cor7})
+        return {"eq46": eq46, "lemma5_max_n": args.max_n, "lemma5": lemma5, "cor7": cor7}
 
-    elif args.command == "ffgroup":
-        model = _short(_parse_curve(args.curve))
+    if args.command == "divpoly" and args.symbolic:
+        return {"n": args.n, "f": _render_symbolic(divpoly.symbolic_table().f(args.n))}
+    if args.curve is None:  # only divpoly's --curve is optional
+        raise DomainError("--curve required without --symbolic")
+    model = _parse_curve(args.curve)
+    if args.command == "invariants":  # of the model as given, long or short
+        return curves.invariants(model)
+    if isinstance(model, curves.LongModel):
+        model = curves.to_short(model)
+
+    if args.command == "reduce":
+        return curves.reduction_report(model, args.p)
+
+    if args.command == "bad-primes":
+        minimized, fac = curves.delta_prime_factorization(model, effort=args.effort)
+        return {
+            "minimized": [minimized.A, minimized.B],
+            "delta_prime_factors": {str(p): e for p, e in fac.factors},
+            "reports": [curves.reduction_report(minimized, p) for p in fac.primes()],
+        }
+
+    if args.command == "divpoly":
+        return {"n": args.n, "coeffs": divpoly.DivisionTable(ZZ, model.A, model.B).f(args.n)}
+
+    if args.command == "ffgroup":
         curve = ffcurve.reduce_curve(model, args.p)
         st = ffcurve.group_structure(curve)
         out = {
@@ -190,14 +178,12 @@ def _run(args) -> None:
             out["ell_part_order"] = prim.order
             out["cyclic"] = prim.cyclic
             out["points_by_order"] = {str(o): pts for o, pts in sorted(prim.points_by_order.items())}
-        _emit(out)
+        return out
 
-    elif args.command == "torsion":
-        model = _short(_parse_curve(args.curve))
-        _emit(torsionq.rational_torsion(model))
+    if args.command == "torsion":
+        return torsionq.rational_torsion(model)
 
-    elif args.command == "cor-traces":
-        model = _short(_parse_curve(args.curve))
+    if args.command == "cor-traces":
         out = {
             "ell": args.ell,
             "n": args.n,
@@ -205,10 +191,9 @@ def _run(args) -> None:
         }
         if args.n == 1:
             out["phi_coefficient_rule"] = numfield.cor7_check(model, args.ell)
-        _emit(out)
+        return out
 
-    elif args.command == "alpha-trace":
-        model = _short(_parse_curve(args.curve))
+    if args.command == "alpha-trace":
         res = numfield.alpha_trace_direct(model, args.ell, args.n)
         out = {"ell": args.ell, "n": args.n, "S": res.S, "degree": res.degree}
         if args.step8:
@@ -216,36 +201,29 @@ def _run(args) -> None:
             out["step8_prediction"] = pred
             if args.n == 2:
                 out["step8_matches"] = pred == res.S
-        _emit(out)
+        return out
 
-    elif args.command == "lift":
-        model = _short(_parse_curve(args.curve))
+    if args.command == "lift":
         minimized, _ = curves.minimize_short(model)
-        _emit(liftkit.lift_plan(minimized, args.p, args.ell))
+        return liftkit.lift_plan(minimized, args.p, args.ell)
 
-    elif args.command == "exceptional":
-        model = _parse_curve(args.curve)
-        rep = galoisrules.theorem5_report(model, scan_bound=args.scan_bound, effort=args.effort)
-        _emit(
-            {
-                "exceptional_set": list(rep.exceptional),
-                "minimized": [rep.model.A, rep.model.B],
-                "scan_bound": args.scan_bound,
-                "smallest_full": rep.smallest_full,
-            }
-        )
+    # exceptional
+    rep = galoisrules.theorem5_report(model, scan_bound=args.scan_bound, effort=args.effort)
+    return {
+        "exceptional_set": list(rep.exceptional),
+        "minimized": [rep.model.A, rep.model.B],
+        "scan_bound": args.scan_bound,
+        "smallest_full": rep.smallest_full,
+    }
 
 
-_VALUE_FLAGS = {"--curve", "--p", "--ell", "--n", "--effort", "--scan-bound", "--max-n"}
-
-
-def _join_flag_values(argv: list[str]) -> list[str]:
+def _join_flag_values(argv: list[str], takes_value: frozenset[str]) -> list[str]:
     """Fold '--flag value' into '--flag=value' so negative values parse."""
     out = []
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a in _VALUE_FLAGS and i + 1 < len(argv):
+        if a in takes_value and i + 1 < len(argv):
             out.append(f"{a}={argv[i + 1]}")
             i += 2
         else:
@@ -266,10 +244,10 @@ def main(argv=None) -> int:
     into a fresh namespace and writes to the sys.stdout and sys.stderr of
     that moment.
     """
-    top, commands = _build_parser()
+    top, commands, takes_value = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_flag_values(list(argv))
+    argv = _join_flag_values(list(argv), takes_value)
     try:
         own = commands.get(argv[0]) if argv else None
         if own is not None:
@@ -279,7 +257,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        _run(args)
+        _emit(_run(args))
     except BudgetError as exc:
         sys.stderr.write(f"sha-scope: budget exceeded: {exc}\n")
         return 3

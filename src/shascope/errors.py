@@ -17,7 +17,8 @@ class DomainError(ShaScopeError):
 class BudgetError(ShaScopeError):
     """A budget ran out: the caller's factoring effort, or a fixed one
     (divpoly.DEGREE_CEILING, divpoly.TOP_BITS_CEILING, divpoly.ALPHA_N_CEILING,
-    cli.MAX_N_CEILING, ffcurve.ORDER_CEILING, liftkit.MAX_HENSEL_DEPTH)."""
+    cli.MAX_N_CEILING, ffcurve.ORDER_CEILING, liftkit.MAX_HENSEL_DEPTH,
+    galoisrules.SCAN_BOUND_CEILING)."""
 
 
 class InvariantViolation(ShaScopeError):

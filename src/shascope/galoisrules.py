@@ -18,7 +18,7 @@ from math import gcd
 
 from .arith import is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, delta_prime_factorization, reduction_report, to_short
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 
 # ell with (ell - 1) | 12, which forces ell <= 13: the mod-ell cyclotomic
@@ -26,6 +26,7 @@ from .errors import DomainError
 # always kept as candidates
 SMALL_EXCEPTIONAL = tuple(ell for ell in primes_below(14) if 12 % (ell - 1) == 0)
 MAZUR_ISOGENY_BOUND = 37  # the largest degree of a rational isogeny of prime degree on a non-CM curve over Q
+SCAN_BOUND_CEILING = 10**7  # largest scan_bound with no tail bound: every prime below it gets a verdict
 
 
 def tate_witnesses(reports: list[ReductionReport], ell: int) -> list[int]:
@@ -196,7 +197,9 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     full, so verdicts go only to the scanned ell <= max(L, smallest_full) and
     the scanned primes of delta'; with no L, to every one. With an L the sieve
     stops at the first prime above L off the base set, where smallest_full is
-    set at the latest, so its cost does not grow with scan_bound.
+    set at the latest, so its cost does not grow with scan_bound. With no L
+    it sieves every prime below scan_bound, which is refused above
+    SCAN_BOUND_CEILING.
     """
     if scan_bound < 0:
         raise DomainError(f"scan_bound must be >= 0, got {scan_bound}")
@@ -216,6 +219,10 @@ def theorem5_report(model, *, scan_bound: int = 10**4, effort: int = 50) -> Theo
     phi_sets = phi_prime_sets(reports)
     tail = _tail_bound(reports, phi_sets)
     if tail is None:
+        if scan_bound > SCAN_BOUND_CEILING:
+            raise BudgetError(
+                f"scan_bound {scan_bound} exceeds ceiling {SCAN_BOUND_CEILING} with no tail bound (integral j)"
+            )
         ells = primes_below(scan_bound)
     else:
         # past the first prime above L off base only delta' primes get verdicts

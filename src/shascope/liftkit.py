@@ -28,7 +28,7 @@ class HenselCertificate:
     x_cert: int  # residue mod p^depth
     depth: int
     val_h: int | None  # v_p(h(x_cert)); None means h(x_cert) = 0 exactly
-    val_dh: int  # v_p(h'(x_cert))
+    val_dh: int | None  # v_p(h'(x_cert)); None means h'(x_cert) = 0 exactly
     simple_mod_p: bool  # whether the naive depth-1 test already sufficed
 
 
@@ -57,11 +57,10 @@ def _hensel_certificate(cubic: ExactPoly, p: int, target_x: int) -> HenselCertif
     for depth in range(1, MAX_HENSEL_DEPTH + 1):
         pk = p**depth
         for x in frontier:
-            hx = h(x)
+            hx, hdx = h(x), hd(x)
             if hx == 0:
-                return HenselCertificate(x % pk, depth, None, padic_val(hd(x), p), simple)
+                return HenselCertificate(x % pk, depth, None, padic_val(hdx, p) if hdx else None, simple)
             vh = padic_val(hx, p)
-            hdx = hd(x)
             vd = padic_val(hdx, p) if hdx != 0 else vh  # hd = 0 forces more digits
             if vh > 2 * vd:
                 return HenselCertificate(x % pk, depth, vh, vd, simple)

@@ -663,6 +663,12 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert 0 < made <= len(calls)
 
 
+def test_value_flags_are_the_declared_options_that_take_a_value():
+    # only these get '--flag value' folded into '--flag=value'; the store_true
+    # flags (--symbolic, --step8) and --help take no value
+    assert cli._build_parser()[2] == {"--curve", "--p", "--ell", "--n", "--effort", "--scan-bound", "--max-n"}
+
+
 def test_one_parse_per_command(capsys, monkeypatch):
     calls = []
     parse_known_args = argparse.ArgumentParser.parse_known_args

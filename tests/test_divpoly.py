@@ -11,7 +11,7 @@ from shascope.divpoly import (
     torsion_test,
     verify_eq46,
 )
-from shascope.errors import BudgetError, DomainError, InvariantViolation
+from shascope.errors import BudgetError, DomainError
 from shascope.ffcurve import INFINITY, FpCurve, enumerate_points, scalar_mul
 from shascope.poly import ZZ, ExactPoly, Fp
 
@@ -121,12 +121,21 @@ def test_top_table_at_a_large_index_and_its_ceiling():
             table.f(-1)
 
 
-def test_recursion_terms_share_a_degree(monkeypatch):
-    # the formal-degree claim reversal rests on, checked at every step: a
-    # degree function that breaks it at n = 5 stops the full table too
-    monkeypatch.setattr(DivisionTable, "expected_degree", staticmethod(lambda n: n))
-    with pytest.raises(InvariantViolation, match="f_5: terms of formal degree"):
-        DivisionTable(ZZ, 1, 1).f(5)
+def test_recursion_terms_share_a_degree():
+    # the formal-degree claim reversal rests on: both terms of each difference
+    # in the recursion have formal degree d_n (d_n - d_m inside the bracket of
+    # f_{2m}). For fixed parities of n and m both sides are quadratics in m, so
+    # agreement on these n proves it for every n >= 5
+    d = DivisionTable.expected_degree
+    for n in range(5, 2000):
+        m = n // 2
+        if n % 2 == 0:
+            assert d(m + 2) + 2 * d(m - 1) == d(m - 2) + 2 * d(m + 1) == d(n) - d(m), n
+        else:
+            psi2 = 6  # deg psi^2, on the f_{m+2} term for even m and the f_{m+1} term for odd m
+            da = d(m + 2) + 3 * d(m) + psi2 * (m % 2 == 0)
+            db = 3 * d(m + 1) + d(m - 1) + psi2 * (m % 2)
+            assert da == db == d(n), n
 
 
 def test_degree_ceiling_budget(monkeypatch):

@@ -286,6 +286,30 @@ def test_theorem5_scan_bound_far_past_the_tail_bound():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_theorem5_scan_bound_ceiling_without_a_tail_bound():
+    # integral j gives no tail bound, so every prime below scan_bound would get
+    # a verdict: above SCAN_BOUND_CEILING that is refused before the sieve. The
+    # child runs under a 1 GB address-space cap, so a sieve of every prime
+    # below 10^9 fails fast with MemoryError instead of taking gigabytes
+    code = (
+        "from shascope.curves import ShortModel\n"
+        "from shascope.errors import BudgetError\n"
+        "from shascope.galoisrules import theorem5_report\n"
+        "try:\n"
+        "    theorem5_report(ShortModel(-43, 86), scan_bound=10**9)\n"
+        "except BudgetError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    message = "scan_bound 1000000000 exceeds ceiling 10000000 with no tail bound (integral j)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, message, "")
+
 def test_theorem5_audit_trail_pin():
     # one sha256 over (A, B, ell, full, chain, reasons) of every verdict on 300
     # seeded curves: the byte sweep pins only the exceptional set, not the

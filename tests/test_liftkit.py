@@ -46,6 +46,14 @@ def test_lift_cubic_double_root_mod_p():
     assert dh(1) == 0 and dh(5) != 0
 
 
+def test_lift_on_an_exact_multiple_root():
+    # y^2 = x^3 + 1 at p = 13: the generator (0, 1) makes the lift cubic X^3,
+    # whose root 0 is exact and triple, so h and h' both vanish there
+    plan = lift_plan(ShortModel(0, 1), 13, 3)
+    assert plan.generator == (0, 1) and plan.cubic == (0, 0, 0, 1)
+    cert = plan.hensel
+    assert (cert.x_cert, cert.depth, cert.val_h, cert.val_dh, cert.simple_mod_p) == (0, 1, None, None, False)
+
 def test_trivial_plan_when_ell_absent():
     plan = lift_plan(EX3_MIN, 7, 3)  # 3 does not divide 10
     assert plan.n == 0 and plan.m == 10
