@@ -26,11 +26,10 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, refuse_assignment
 
 # The first k prime bases decide Miller-Rabin for every n < _MR_PSP[k - 1]:
 # OEIS A014233, the least strong pseudoprime to all of them (Jaeschke,
@@ -98,15 +97,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Factorization:
     """unit * prod(p**e) == value; primes strictly increasing, each passing
     is_prime. That proves primality below ~3.3e24 (deterministic Miller-Rabin
     bases); above it a factor is only a probable prime, whose certificate
-    ROADMAP item 5 tracks."""
+    ROADMAP item 5 tracks. Immutable; equal, and hashing alike, when unit and
+    factors are."""
 
-    unit: int  # +1 or -1
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("unit", "factors")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, unit: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "unit", unit)  # +1 or -1
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if type(other) is not Factorization:
+            return NotImplemented
+        return (self.unit, self.factors) == (other.unit, other.factors)
+
+    def __hash__(self):
+        return hash((self.unit, self.factors))
+
+    def __repr__(self) -> str:
+        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     @property
     def value(self) -> int:

@@ -11,13 +11,12 @@ Exit codes: 0 success, 2 domain error, 3 budget/ceiling error, 64 usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import curves, divpoly, ffcurve, galoisrules, liftkit, numfield, torsionq
+from . import curves, divpoly, ffcurve, galoisrules, liftkit, numfield
 from .errors import BudgetError, DomainError, ShaScopeError
 from .poly import ZZ, ExactPoly
 
@@ -39,8 +38,8 @@ def _enc(x):
         return {"num": _enc(x.numerator), "den": _enc(x.denominator)}
     if isinstance(x, ExactPoly):
         return [_enc(c) for c in x.coeffs]
-    if dataclasses.is_dataclass(x):
-        return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, tuple):  # a result record (a named tuple); plain tuples are lists above
+        return _enc(x._asdict())
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -181,7 +180,12 @@ def _run(args):
         return out
 
     if args.command == "torsion":
-        return torsionq.rational_torsion(model)
+        # imported here alone: TorsionGroup is still a dataclass, and no
+        # other command should pay for importing dataclasses
+        from . import torsionq
+
+        t = torsionq.rational_torsion(model)
+        return {"structure": t.structure, "order": t.order, "points": t.points}
 
     if args.command == "cor-traces":
         out = {

@@ -9,16 +9,15 @@ authoritative field at those primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Factorization, factorize, is_prime, legendre, padic_val
 from .errors import DomainError, SingularCubicError
 
 
-@dataclass(frozen=True)
-class LongModel:
+class LongModel(NamedTuple):
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6, integer coefficients."""
 
     a1: int
@@ -28,8 +27,7 @@ class LongModel:
     a6: int
 
 
-@dataclass(frozen=True)
-class ShortModel:
+class ShortModel(NamedTuple):
     """y^2 = x^3 + A x + B, integer coefficients, 4A^3 + 27B^2 != 0."""
 
     A: int
@@ -39,8 +37,7 @@ class ShortModel:
         return 4 * self.A**3 + 27 * self.B**2
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     b2: int
     b4: int
     b6: int
@@ -52,8 +49,7 @@ class Invariants:
     j: Fraction
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     p: int
     kind: str  # "good" | "multiplicative" | "additive"
     split: str | None  # for multiplicative: "split" | "nonsplit" | "undetermined"

@@ -6,6 +6,12 @@ certificate that must hold failed) and is never caught silently.
 """
 
 
+def refuse_assignment(record, name, value=None):
+    """__setattr__ and __delattr__ of the immutable records that are not
+    named tuples (ExactPoly, FpCurve, Factorization)."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ShaScopeError(Exception):
     """Base class for all library errors."""
 

@@ -11,13 +11,13 @@ group_structure and ell_primary on one curve walk each Sylow subgroup once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, padic_val, sqrt_mod
 from .curves import ShortModel, p_minimize
-from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation, SingularCubicError
+from .errors import BadReductionError, BudgetError, DomainError, InvariantViolation, SingularCubicError, refuse_assignment
 
 ORDER_CEILING = 10**6  # largest p whose O(p) squares table is built
 
@@ -30,22 +30,32 @@ def check_order_ceiling(p: int) -> None:
         raise BudgetError(f"desk-scale ceiling exceeded: p={p} > {ORDER_CEILING}")
 
 
-@dataclass(frozen=True)
 class FpCurve:
     """y^2 = x^3 + Ax + B over F_p. The squares table, #E(F_p) and the
     q-Sylow bases are computed on first use and kept on the instance, so a
     caller that reduces a curve once counts its points once and walks each
-    Sylow subgroup once."""
+    Sylow subgroup once. Immutable; equal, and hashing alike, when p, A and B
+    are, whatever each has cached."""
 
-    p: int
-    A: int
-    B: int
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.p < 5:
+    def __init__(self, p: int, A: int, B: int):
+        if p < 5:
             raise DomainError("FpCurve requires p >= 5")
-        if (4 * self.A**3 + 27 * self.B**2) % self.p == 0:
-            raise DomainError(f"singular curve mod {self.p}")
+        if (4 * A**3 + 27 * B**2) % p == 0:
+            raise DomainError(f"singular curve mod {p}")
+        self.__dict__.update(p=p, A=A, B=B)  # cached_property writes here too
+
+    def __eq__(self, other):
+        if type(other) is not FpCurve:
+            return NotImplemented
+        return (self.p, self.A, self.B) == (other.p, other.A, other.B)
+
+    def __hash__(self):
+        return hash((self.p, self.A, self.B))
+
+    def __repr__(self) -> str:
+        return f"FpCurve(p={self.p!r}, A={self.A!r}, B={self.B!r})"
 
     def on_curve(self, pt) -> bool:
         if pt is INFINITY:
@@ -275,8 +285,7 @@ def _sylow_basis(curve: FpCurve, q: int) -> tuple:
     return basis
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     order: int
     n1: int  # invariant factors n1 | n2, n1*n2 = order (n1 = 1 means cyclic)
     n2: int
@@ -306,8 +315,7 @@ def group_structure(curve: FpCurve) -> GroupStructure:
     return GroupStructure(N, n1, N // n1, (gen2,) if n1 == 1 else (gen2, gen1))
 
 
-@dataclass(frozen=True)
-class EllPrimary:
+class EllPrimary(NamedTuple):
     ell: int
     order: int  # size of the ell-Sylow component
     e1: int  # component is Z/ell^e1 x Z/ell^e2 (e1 <= e2)

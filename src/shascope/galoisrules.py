@@ -13,8 +13,8 @@ trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import is_prime, primes_below
 from .curves import LongModel, ReductionReport, ShortModel, delta_prime_factorization, reduction_report, to_short
@@ -89,8 +89,7 @@ def semistable_rule(reports: list[ReductionReport], ell: int) -> bool:
     return ell >= 11 and all(r.kind == "multiplicative" for r in reports)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ell: int
     full: bool
     chain: str | None  # which rule chain decided, if any
@@ -173,8 +172,7 @@ def _tail_bound(reports: list[ReductionReport], phi_sets: list[tuple[int, list[i
     return min(bounds, default=None)
 
 
-@dataclass(frozen=True)
-class Theorem5Report:
+class Theorem5Report(NamedTuple):
     model: ShortModel  # minimized short model the analysis ran on
     exceptional: tuple[int, ...]  # candidate primes where the image may be small
     smallest_full: int | None  # smallest scanned ell certified full

@@ -11,8 +11,8 @@ strong Hensel inequality v_p(h(x)) > 2*v_p(h'(x)) is met.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import is_prime, padic_val
 from .curves import ShortModel
@@ -23,8 +23,7 @@ from .poly import ZZ, ExactPoly
 MAX_HENSEL_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class HenselCertificate:
+class HenselCertificate(NamedTuple):
     x_cert: int  # residue mod p^depth
     depth: int
     val_h: int | None  # v_p(h(x_cert)); None means h(x_cert) = 0 exactly
@@ -32,8 +31,7 @@ class HenselCertificate:
     simple_mod_p: bool  # whether the naive depth-1 test already sufficed
 
 
-@dataclass(frozen=True)
-class LiftPlan:
+class LiftPlan(NamedTuple):
     p: int
     ell: int
     n: int  # ell-valuation of the reduced group order

@@ -15,8 +15,8 @@ for step 8, and degrees come from expected_degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import is_prime
 from .curves import ShortModel
@@ -114,8 +114,7 @@ def cor7_check(model: ShortModel | None, ell: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaTraceResult:
+class AlphaTraceResult(NamedTuple):
     ell: int
     n: int
     S: Fraction  # normalized root-sum of alpha over primitive ell^n torsion x's

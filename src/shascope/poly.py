@@ -23,10 +23,9 @@ raise, and exact_div asserts a zero remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, refuse_assignment
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +281,27 @@ ZAB = MPolyRing()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExactPoly:
-    """Dense univariate polynomial; coeffs low-degree-first, normalized."""
+    """Dense univariate polynomial; coeffs low-degree-first, normalized.
+    Immutable; equal, and hashing alike, when ring and coeffs are."""
 
-    ring: Ring
-    coeffs: tuple
+    __slots__ = ("ring", "coeffs")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, ring: Ring, coeffs: tuple):
+        _set_ring(self, ring)  # the slots' own setters, past __setattr__
+        _set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not ExactPoly:
+            return NotImplemented
+        return (self.ring, self.coeffs) == (other.ring, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"ExactPoly(ring={self.ring!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "ExactPoly":
@@ -392,3 +406,5 @@ class ExactPoly:
     def mod(self, other: "ExactPoly") -> "ExactPoly":
         return self.divmod_exact(other)[1]
 
+
+_set_ring, _set_coeffs = ExactPoly.ring.__set__, ExactPoly.coeffs.__set__

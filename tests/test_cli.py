@@ -706,3 +706,30 @@ def test_no_state_leaks_between_calls(capsys, monkeypatch):
         alone.append((proc.returncode, proc.stdout, proc.stderr))
     assert in_process == alone
     assert [code for code, _, _ in alone] == [0, 64, 0, 0, 0, 0]
+
+
+def test_commands_other_than_torsion_import_neither_dataclasses_nor_inspect():
+    # in a child process, since pytest itself imports inspect; only torsion
+    # imports dataclasses, for torsionq.TorsionGroup
+    code = (
+        "import contextlib, io, sys\n"
+        "from shascope import cli\n"
+        f"ex3 = {EX3_MIN!r}\n"
+        "for argv in (\n"
+        "    ['invariants', '--curve', '1,1'],\n"
+        "    ['exceptional', '--curve', ex3],\n"
+        "    ['ffgroup', '--p', '7', '--ell', '5', '--curve', ex3],\n"
+        "    ['lift', '--p', '7', '--ell', '5', '--curve', ex3],\n"
+        "    ['divpoly', '--n', '5', '--symbolic'],\n"
+        "):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "cli.main(['torsion', '--curve', '0,1'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]",
+        '{"order":6,"points":[[-1,0],[0,-1],[0,1],[2,-3],[2,3]],"structure":"Z/6Z"}',
+    ]
