@@ -122,6 +122,9 @@ class Factorization:
     def __repr__(self) -> str:
         return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return Factorization, (self.unit, self.factors)
+
     @property
     def value(self) -> int:
         v = self.unit

@@ -303,6 +303,9 @@ class ExactPoly:
     def __repr__(self) -> str:
         return f"ExactPoly(ring={self.ring!r}, coeffs={self.coeffs!r})"
 
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return ExactPoly, (self.ring, self.coeffs)
+
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "ExactPoly":
         p = ring.characteristic

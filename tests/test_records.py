@@ -1,5 +1,8 @@
 """Result records: immutable, and the three with behaviour compare by value."""
 
+import copy
+import pickle
+
 import pytest
 
 from shascope import arith, curves, ffcurve, galoisrules, liftkit, numfield, torsionq
@@ -36,6 +39,14 @@ def test_fields_cannot_be_assigned(build, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
     assert getattr(record, field) == before
+
+
+@pytest.mark.parametrize("build", [r[1] for r in RECORDS], ids=[r[0] for r in RECORDS])
+def test_records_copy_and_pickle(build):
+    record = build()
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record or isinstance(record, ExactPoly)  # ZZ compares by identity
+    assert pickle.loads(pickle.dumps(record)) == record or isinstance(record, ExactPoly)
 
 
 @pytest.mark.parametrize(
