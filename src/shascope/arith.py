@@ -28,8 +28,9 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
-from .errors import BudgetError, DomainError, refuse_assignment
+from .errors import BudgetError, DomainError
 
 # The first k prime bases decide Miller-Rabin for every n < _MR_PSP[k - 1]:
 # OEIS A014233, the least strong pseudoprime to all of them (Jaeschke,
@@ -97,33 +98,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Factorization:
+class Factorization(NamedTuple):
     """unit * prod(p**e) == value; primes strictly increasing, each passing
     is_prime. That proves primality below ~3.3e24 (deterministic Miller-Rabin
     bases); above it a factor is only a probable prime, whose certificate
-    ROADMAP item 5 tracks. Immutable; equal, and hashing alike, when unit and
-    factors are."""
+    ROADMAP item 5 tracks."""
 
-    __slots__ = ("unit", "factors")
-    __setattr__ = __delattr__ = refuse_assignment
-
-    def __init__(self, unit: int, factors: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "unit", unit)  # +1 or -1
-        object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other):
-        if type(other) is not Factorization:
-            return NotImplemented
-        return (self.unit, self.factors) == (other.unit, other.factors)
-
-    def __hash__(self):
-        return hash((self.unit, self.factors))
-
-    def __repr__(self) -> str:
-        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
-
-    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
-        return Factorization, (self.unit, self.factors)
+    unit: int  # +1 or -1
+    factors: tuple[tuple[int, int], ...]  # (p, e), p ascending
 
     @property
     def value(self) -> int:
@@ -134,9 +116,6 @@ class Factorization:
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int | None:

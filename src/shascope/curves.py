@@ -110,7 +110,7 @@ def minimize_short(model: ShortModel) -> tuple[ShortModel, int]:
     if g == 1:  # most models: no factorize call
         return model, 1
     u = 1
-    for p, _ in factorize(g):
+    for p, _ in factorize(g).factors:
         while A % p**4 == 0 and B % p**6 == 0:
             A, B, u = A // p**4, B // p**6, u * p
     return ShortModel(A, B), u
@@ -167,9 +167,9 @@ def reduction_report(model: ShortModel, p: int) -> ReductionReport:
     return ReductionReport(p, "additive", None, potential, ord_delta, ord_c4, ord_j, caveat)
 
 
-def bad_primes(model: ShortModel, *, effort: int = 50) -> list[ReductionReport]:
+def bad_primes(model: ShortModel) -> list[ReductionReport]:
     """One report per prime dividing delta' of the minimized model, ascending."""
-    minimized, fac = delta_prime_factorization(model, effort=effort)
+    minimized, fac = delta_prime_factorization(model)
     return [reduction_report(minimized, p) for p in fac.primes()]
 
 

@@ -7,8 +7,8 @@ certificate that must hold failed) and is never caught silently.
 
 
 def refuse_assignment(record, name, value=None):
-    """__setattr__ and __delattr__ of the immutable records that are not
-    named tuples (ExactPoly, FpCurve, Factorization)."""
+    """__setattr__ and __delattr__ of the two immutable records that are not
+    named tuples (ExactPoly, FpCurve)."""
     raise AttributeError(f"cannot assign to field {name!r}")
 
 

@@ -1,9 +1,9 @@
 """Elliptic curves over F_p (p >= 5): group law, counting, structure and
 ell-primary components.
 
-#E(F_p) is counted exactly from one table of squares mod p, once per
-FpCurve, for p up to ORDER_CEILING. The group structure and the
-ell-primary parts are then proven from that count with a few lazily
+#E(F_p) is counted exactly from one table of squares mod p (p prime by
+is_prime, p <= ORDER_CEILING), once per FpCurve. The group structure and
+the ell-primary parts are then proven from that count with a few lazily
 enumerated points: a basis per Sylow subgroup, no pass over all the points.
 The squares table, #E and each Sylow basis are kept on the FpCurve, so
 group_structure and ell_primary on one curve walk each Sylow subgroup once.
@@ -68,26 +68,16 @@ class FpCurve:
         """t[r] = #{y : y^2 = r mod p}: 1 at 0, 2 at the nonzero squares, else 0.
 
         Every count and every walk over the points reads this table, so the
-        order ceiling and the primality of p are checked here once. The table
-        is its own primality certificate: an odd n >= 5 is prime iff, after
-        the loop over 0 < y < n/2, t[0] is still 1 and t holds (n - 1)/2 twos.
-        - n prime: y^2 = 0 has no root 0 < y < n, and y -> y^2 is two-to-one
-          on the nonzero residues with y, n - y sharing a square, so the
-          (n - 1)/2 values of y give distinct squares.
-        - q^2 | n for a prime q (odd, as n is): y = n/q <= n/3 is in the loop
-          and y^2 = n * (n/q^2) = 0, so t[0] becomes 2.
-        - n = p1...pk squarefree with k >= 2: by the Chinese remainder theorem
-          n has prod (pi + 1)/2 squares counting 0, and (pi + 1)/2 <= 2pi/3,
-          so at most 4n/9 - 1 < (n - 1)/2 nonzero ones.
+        order ceiling and then the primality of p are checked here once.
         """
         p = self.p
         check_order_ceiling(p)
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
         t = bytearray(p)
         t[0] = 1
         for y in range(1, (p + 1) // 2):
             t[y * y % p] = 2
-        if p % 2 == 0 or t[0] != 1 or t.count(2) != (p - 1) // 2:
-            raise DomainError(f"{p} is not prime")
         return t
 
     @cached_property
@@ -202,7 +192,7 @@ def point_order(curve: FpCurve, P) -> int:
         raise DomainError(f"{P} not on curve")
     N = group_order(curve)
     n = 1
-    for q, v in factorize(N):
+    for q, v in factorize(N).factors:
         n *= q ** _exponent(curve, scalar_mul(curve, N // q**v, P), q, v)[0]
     return n
 
@@ -306,7 +296,7 @@ def group_structure(curve: FpCurve) -> GroupStructure:
     N = group_order(curve)
     gen2 = gen1 = INFINITY
     n1 = 1
-    for q, _ in factorize(N):
+    for q, _ in factorize(N).factors:
         (R1, _), (R2, k2) = _sylow_basis(curve, q)
         gen2, gen1 = add(curve, gen2, R1), add(curve, gen1, R2)
         n1 *= q**k2

@@ -222,6 +222,9 @@ class Ring:
 class _ZZ(Ring):
     name = "ZZ"
 
+    def __reduce__(self):  # copy and pickle return the module's ZZ, as rings compare by identity
+        return "ZZ"
+
     def from_int(self, k):
         return int(k)
 
@@ -257,6 +260,9 @@ class MPolyRing(Ring):
     """Z[A,B] with weighted-homogeneous MPoly elements."""
 
     name = "Z[A,B]"
+
+    def __reduce__(self):  # copy and pickle return the module's ZAB
+        return "ZAB"
 
     def from_int(self, k):
         return MPoly(0, (k,))

@@ -170,6 +170,9 @@ def test_factorize_sign_and_unit():
     assert fac.unit == -1
     assert fac.factors == ((2, 2), (3, 1))
     assert fac.value == -12
+    # a record like the others: a named tuple
+    assert fac._asdict() == {"unit": -1, "factors": ((2, 2), (3, 1))}
+    assert fac == (-1, ((2, 2), (3, 1)))
 
 
 def test_factorize_example_discriminant():

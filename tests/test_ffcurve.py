@@ -183,8 +183,8 @@ def test_order_ceiling_stops_every_count_and_walk():
             call(curve)
 
 
-def test_squares_table_certifies_that_p_is_prime():
-    # is_prime is the oracle; the table's own certificate decides
+def test_squares_table_is_built_only_for_a_prime_p():
+    # the squares table tests n with is_prime, after the ceiling: every composite is refused
     for n in range(5, 2000):
         if 31 % n == 0:  # 4 + 27 = 31: (1,1) is singular mod 31
             continue

@@ -81,6 +81,19 @@ def test_p_above_the_order_ceiling_is_refused_before_its_primality_test(monkeypa
         lift_plan(ShortModel(1, 1), p, 5)
 
 
+def test_hensel_depth_budget_exits_3(capsys, monkeypatch):
+    # Example 4 (README's lift example) needs depth 2
+    from shascope import cli, liftkit
+    from shascope.errors import BudgetError
+
+    monkeypatch.setattr(liftkit, "MAX_HENSEL_DEPTH", 1)
+    with pytest.raises(BudgetError, match="^Hensel refinement exceeded depth 1$"):
+        lift_plan(EX3_MIN, 7, 5)
+    code = cli.main(["lift", "--p", "7", "--ell", "5", "--curve", "-5316979,-4724275762"])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (3, "", "sha-scope: budget exceeded: Hensel refinement exceeded depth 1\n")
+
+
 def test_precondition_names_offending_factor():
     with pytest.raises(DomainError, match="delta'"):
         lift_plan(EX3_MIN, 2, 5)

@@ -1,4 +1,4 @@
-"""Result records: immutable, and the three with behaviour compare by value."""
+"""Result records: immutable, copied and pickled whole, and compared by value."""
 
 import copy
 import pickle
@@ -6,7 +6,8 @@ import pickle
 import pytest
 
 from shascope import arith, curves, ffcurve, galoisrules, liftkit, numfield, torsionq
-from shascope.poly import ZZ, ExactPoly, Fp
+from shascope.divpoly import symbolic_table
+from shascope.poly import ZAB, ZZ, ExactPoly, Fp
 
 EX3 = curves.ShortModel(-5316979, -4724275762)
 E11 = curves.ShortModel(1, 1)
@@ -45,8 +46,19 @@ def test_fields_cannot_be_assigned(build, field):
 def test_records_copy_and_pickle(build):
     record = build()
     assert copy.copy(record) == record
-    assert copy.deepcopy(record) == record or isinstance(record, ExactPoly)  # ZZ compares by identity
-    assert pickle.loads(pickle.dumps(record)) == record or isinstance(record, ExactPoly)
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_rings_copy_and_pickle_to_their_singletons():
+    # ZZ and ZAB compare by identity, so a copied polynomial must keep the ring itself
+    assert copy.deepcopy(ZZ) is ZZ and copy.copy(ZZ) is ZZ
+    assert pickle.loads(pickle.dumps(ZAB)) is ZAB and copy.deepcopy(ZAB) is ZAB
+    f3 = symbolic_table().f(3)
+    g = copy.deepcopy(f3)
+    assert g.ring is ZAB
+    assert g * g == f3 * f3
+    assert pickle.loads(pickle.dumps(f3)) * f3 == f3 * f3
 
 
 @pytest.mark.parametrize(
